@@ -9,7 +9,6 @@ against direct lattice integration.
 from .errors import (
     AsymintError,
     DomainError,
-    ExpansionOrderError,
     ExpansionPointError,
     GradingError,
     InconsistentSystemError,
@@ -26,7 +25,6 @@ __all__ = [
     "CoeffElement",
     "CoeffField",
     "DomainError",
-    "ExpansionOrderError",
     "ExpansionPointError",
     "GradingError",
     "InconsistentSystemError",

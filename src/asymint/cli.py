@@ -15,8 +15,10 @@ import io
 import json
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -117,21 +119,38 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _source_digest() -> str:
+    """sha256 of the package's Python sources, so an edited program never
+    reads an artifact that another version of the code wrote."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cached(key_parts: List[str], build) -> str:
     """Build the artifact text, reusing a cache file when the environment
-    names a cache directory.  The key includes the package version."""
+    names a cache directory.  The key includes the digest of the sources;
+    a new entry is written to a temporary file and then renamed into place,
+    so a reader never sees a partial one."""
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return build()
-    digest = hashlib.sha256("|".join([__version__, *key_parts]).encode()).hexdigest()[:24]
+    digest = hashlib.sha256("|".join([_source_digest(), *key_parts]).encode()).hexdigest()[:24]
     path = os.path.join(cache_dir, f"asymint-{digest}.json")
     if os.path.exists(path):
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     text = build()
     os.makedirs(cache_dir, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return text
 
 

@@ -28,8 +28,8 @@ from .diffpoly import (
     FieldSymbol,
     time_derivative,
 )
-from .errors import InconsistentSystemError
-from .field import CoeffElement, CoeffField, ModelParams
+from .errors import InconsistentSystemError, ZeroInverse
+from .field import CoeffElement, CoeffField
 from .hierarchy import FlowHierarchy
 from .knowns import KnownPoly
 from .labels import (
@@ -51,9 +51,7 @@ class CompatibilityProblem:
     variant: str
     order: int
     field: CoeffField
-    context: FlowHierarchy
     target: FieldSymbol
-    known_basis: LabeledBasis
     known_values: Dict[str, CoeffElement]
     ansatz_basis: LabeledBasis
     evolution_rules: EvolutionRules
@@ -68,13 +66,6 @@ class CompatibilityReport:
     evaluated: List[CoeffElement]
     verdict: str
     witness: Optional[str]
-
-
-def apply_time_derivative(
-    poly: DiffPolynomial, m: int, rules: EvolutionRules
-) -> DiffPolynomial:
-    """Total d_{t_m} with every field evolution supplied by the rules."""
-    return time_derivative(poly, m, rules, strict=True)
 
 
 # --- canonical label order and linear algebra over the label monomials -----------
@@ -129,18 +120,22 @@ def eliminate_unknowns(
             for name in sorted(linear, key=_label_key):
                 coeff = linear[name]
                 if coeff.is_constant() and not coeff.constant_value().is_zero():
-                    pick = (idx, name, coeff.constant_value(), linear, rest)
+                    try:
+                        inv = coeff.constant_value().inv()
+                    except ZeroInverse:
+                        continue
+                    pick = (idx, name, inv, linear, rest)
                     break
             if pick:
                 break
         if pick is None:
             break
-        idx, name, cval, linear, rest = pick
+        idx, name, inv, linear, rest = pick
         acc = rest
         for other, coeff in linear.items():
             if other != name:
                 acc = acc + coeff * KnownPoly.symbol(field, other)
-        expr = acc * (-cval.inv())
+        expr = acc * (-inv)
         mapping = {name: expr}
         eqs = [e.substitute(mapping) for j, e in enumerate(eqs) if j != idx]
         eqs = [e for e in eqs if e]
@@ -149,7 +144,7 @@ def eliminate_unknowns(
         remaining.discard(name)
     if remaining:
         raise InconsistentSystemError(
-            f"ansatz labels {sorted(remaining)} admit no constant pivot"
+            f"ansatz labels {sorted(remaining)} admit no invertible constant pivot"
         )
     stray = [e for e in eqs if any(n in e.symbols() for n in names)]
     if stray:
@@ -161,22 +156,27 @@ def rref(rows: Sequence[KnownPoly], field: CoeffField) -> List[KnownPoly]:
     """Reduced row echelon form of the span of the rows, with the label
     monomials as columns in canonical order and every leading coefficient
     scaled to one.  The output depends only on the span, so it is the
-    canonical form used for constraint comparison."""
+    canonical form used for constraint comparison.  Only invertible entries
+    serve as pivots: when c^2 = 1, rows whose remaining entries are all zero
+    divisors follow the pivot rows unscaled, so the span is kept."""
     work = [dict(r.terms) for r in rows if r]
     columns = sorted({key for row in work for key in row}, key=_column_key)
-    done: List[Tuple[Tuple, Dict]] = []
+    done: List[Dict] = []
     for col in columns:
         pivot = None
         for row in work:
             if col in row:
+                try:
+                    inv = row[col].inv()
+                except ZeroInverse:
+                    continue
                 pivot = row
                 break
         if pivot is None:
             continue
         work.remove(pivot)
-        inv = pivot[col].inv()
         pivot = {k: v * inv for k, v in pivot.items()}
-        for rows_set in (work, [d for _, d in done]):
+        for rows_set in (work, done):
             for row in rows_set:
                 f = row.get(col)
                 if f is None:
@@ -187,21 +187,9 @@ def rref(rows: Sequence[KnownPoly], field: CoeffField) -> List[KnownPoly]:
                         row.pop(k, None)
                     else:
                         row[k] = new
-        done.append((col, pivot))
+        done.append(pivot)
         work = [row for row in work if row]
-    return [KnownPoly(field, terms) for _, terms in done]
-
-
-def reduce_by_constraints(
-    poly: KnownPoly, constraints: Sequence[KnownPoly], field: CoeffField
-) -> KnownPoly:
-    """Remainder of poly modulo the span of RREF constraints."""
-    for c in constraints:
-        lead = min(c.terms, key=_column_key)
-        f = poly.terms.get(lead)
-        if f is not None:
-            poly = poly - c * f
-    return poly
+    return [KnownPoly(field, terms) for terms in done + work]
 
 
 # --- problem assembly -------------------------------------------------------------
@@ -231,38 +219,42 @@ def _filled(basis: LabeledBasis, values: Dict[str, CoeffElement], field: CoeffFi
     return {name: values.get(name, field.zero) for name in basis.labels}
 
 
+def _order7_problem(
+    hier: FlowHierarchy, beta3: CoeffElement, a_values: Dict[str, CoeffElement]
+) -> CompatibilityProblem:
+    """The order-7 problem on the second field: the first field follows its
+    t2 and t3 flows, the second field its linearized flows plus the t2
+    forcing (labels a1..a3, valued by a_values) and the t3 correction, which
+    is the unknown ansatz (labels b1..b6)."""
+    field = hier.field
+    alpha1 = hier.alpha1
+    rules = EvolutionRules(one=KnownPoly.constant(field, field.one))
+    rules.set("phi", 1, 2, _lifted(field, hier.flow(2, alpha1)))
+    rules.set("phi", 1, 3, _lifted(field, hier.flow(3, beta3)))
+    rules.set("phi", 2, 2, _linearized(field, hier, 2, alpha1, "phi", 2) + T2_SECOND.ansatz(field))
+    rules.set("phi", 2, 3, _linearized(field, hier, 3, beta3, "phi", 2) + T3_SECOND.ansatz(field))
+    return CompatibilityProblem(
+        variant="potential",
+        order=7,
+        field=field,
+        target=FieldSymbol("phi", 2),
+        known_values=_filled(T2_SECOND, a_values, field),
+        ansatz_basis=T3_SECOND,
+        evolution_rules=rules,
+    )
+
+
 def build_problem(engine_report, order: int) -> CompatibilityProblem:
     """Assemble the commutation problem at the given order from a completed
     reduction.  Order seven always lives in the potential variant; order
     nine follows the variant the reduction itself selected."""
     field = engine_report.field
-    alpha1, alpha2 = engine_report.alphas[1], engine_report.alphas[2]
+    alpha1 = engine_report.alphas[1]
     beta3 = engine_report.betas[3]
-    hier = FlowHierarchy(alpha1, alpha2)
-    one = KnownPoly.constant(field, field.one)
-
-    rules = EvolutionRules(one=one)
-    rules.set("phi", 1, 2, _lifted(field, hier.flow(2, alpha1)))
-    rules.set("phi", 1, 3, _lifted(field, hier.flow(3, beta3)))
-    f_t2 = T2_SECOND.ansatz(field)
-    rules.set("phi", 2, 2, _linearized(field, hier, 2, alpha1, "phi", 2) + f_t2)
-    f_t3 = T3_SECOND.ansatz(field)
-    rules.set("phi", 2, 3, _linearized(field, hier, 3, beta3, "phi", 2) + f_t3)
-
+    hier = FlowHierarchy(alpha1, engine_report.alphas[2])
+    problem = _order7_problem(hier, beta3, engine_report.forcings["f_t2"].coefficients)
     if order == 7:
-        return CompatibilityProblem(
-            variant="potential",
-            order=7,
-            field=field,
-            context=hier,
-            target=FieldSymbol("phi", 2),
-            known_basis=T2_SECOND,
-            known_values=_filled(
-                T2_SECOND, engine_report.forcings["f_t2"].coefficients, field
-            ),
-            ansatz_basis=T3_SECOND,
-            evolution_rules=rules,
-        )
+        return problem
     if order != 9:
         raise ValueError(f"no commutation problem at order {order}")
 
@@ -272,16 +264,14 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
     f_t3_solved = DiffPolynomial(
         {m: v for (name, m) in T3_SECOND.pairs if (v := seven.solved_coefficients[name])}
     )
+    rules = problem.evolution_rules
     rules.set(
         "phi", 2, 3, _linearized(field, hier, 3, beta3, "phi", 2) + f_t3_solved
     )
 
     variant = engine_report.variant
-    known_values = _filled(
-        T2_SECOND, engine_report.forcings["f_t2"].coefficients, field
-    )
+    known_values = problem.known_values
     if variant == "potential":
-        known_basis = T2_THIRD
         ansatz_basis = generic_basis("q", 10, "potential", 2)
         known_values.update(
             _filled(T2_THIRD, engine_report.forcings["h_t2"].coefficients, field)
@@ -294,17 +284,17 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
         )
         target = FieldSymbol("phi", 3)
     elif variant == "kdv":
-        known_basis = T2_THIRD_KDV
         ansatz_basis = generic_basis("q", 11, "kdv", 2)
         known_values.update(
             _filled(T2_THIRD_KDV, engine_report.forcings["g_t2"].coefficients, field)
         )
-        kdv = EvolutionRules(one=one)
+        kdv = EvolutionRules(one=rules.one)
         kdv.set("vphi", 1, 2, _lifted(field, hier.kdv_flow(2, alpha1)))
         kdv.set("vphi", 1, 3, _lifted(field, hier.kdv_flow(3, beta3)))
         kdv.set(
             "vphi", 2, 2,
-            _linearized(field, hier, 2, alpha1, "vphi", 2) + f_t2.d_x().rename_to_kdv(),
+            _linearized(field, hier, 2, alpha1, "vphi", 2)
+            + T2_SECOND.ansatz(field).d_x().rename_to_kdv(),
         )
         kdv.set(
             "vphi", 2, 3,
@@ -328,9 +318,7 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
         variant=variant,
         order=9,
         field=field,
-        context=hier,
         target=target,
-        known_basis=known_basis,
         known_values=known_values,
         ansatz_basis=ansatz_basis,
         evolution_rules=rules,
@@ -346,7 +334,7 @@ def commutator_equations(problem: CompatibilityProblem) -> List[KnownPoly]:
     rules = problem.evolution_rules
     r2 = rules.get(problem.target, 2)
     r3 = rules.get(problem.target, 3)
-    e = apply_time_derivative(r2, 3, rules) - apply_time_derivative(r3, 2, rules)
+    e = time_derivative(r2, 3, rules) - time_derivative(r3, 2, rules)
     return [coeff for _, coeff in e.iter_sorted()]
 
 
@@ -374,11 +362,6 @@ def solve_compatibility(problem: CompatibilityProblem) -> CompatibilityReport:
     )
 
 
-def verdict(engine_report, level: int) -> Tuple[str, Optional[str]]:
-    report = solve_compatibility(build_problem(engine_report, level))
-    return report.verdict, report.witness
-
-
 def solve_t3_correction(
     alpha1: CoeffElement,
     alpha2: CoeffElement,
@@ -388,25 +371,7 @@ def solve_t3_correction(
     """Numeric t3-correction coefficients for the second field, used by the
     reduction to continue past the eighth order: the symbolic commutation
     solve evaluated at the computed t2-forcing."""
-    field = alpha1.field
-    hier = FlowHierarchy(alpha1, alpha2)
-    one = KnownPoly.constant(field, field.one)
-    rules = EvolutionRules(one=one)
-    rules.set("phi", 1, 2, _lifted(field, hier.flow(2, alpha1)))
-    rules.set("phi", 1, 3, _lifted(field, hier.flow(3, beta3)))
-    rules.set("phi", 2, 2, _linearized(field, hier, 2, alpha1, "phi", 2) + T2_SECOND.ansatz(field))
-    rules.set("phi", 2, 3, _linearized(field, hier, 3, beta3, "phi", 2) + T3_SECOND.ansatz(field))
-    problem = CompatibilityProblem(
-        variant="potential",
-        order=7,
-        field=field,
-        context=hier,
-        target=FieldSymbol("phi", 2),
-        known_basis=T2_SECOND,
-        known_values=_filled(T2_SECOND, a_values, field),
-        ansatz_basis=T3_SECOND,
-        evolution_rules=rules,
-    )
+    problem = _order7_problem(FlowHierarchy(alpha1, alpha2), beta3, a_values)
     report = solve_compatibility(problem)
     if report.residual_constraints:
         raise InconsistentSystemError(
@@ -416,12 +381,3 @@ def solve_t3_correction(
         name: expr.evaluate(problem.known_values)
         for name, expr in report.solved_coefficients.items()
     }
-
-
-def check(params: ModelParams, order: int):
-    """Run the reduction, then the commutation analysis, at one order."""
-    from .reduction import run_reduction
-
-    engine = run_reduction(params, order=order)
-    report = solve_compatibility(build_problem(engine, order))
-    return engine, report

@@ -26,10 +26,6 @@ class NonLocalError(AsymintError):
     """An antiderivative does not exist inside the differential algebra."""
 
 
-class ExpansionOrderError(AsymintError):
-    """A series was used beyond, or inconsistently with, its truncation order."""
-
-
 class MissingEvolutionError(AsymintError):
     """A slow-time derivative was requested for a field with no evolution rule."""
 

@@ -326,20 +326,6 @@ class CoeffElement:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def is_rational(self) -> bool:
-        """True when the element is a plain rational number (no h, no c)."""
-        return (
-            self.odd.is_zero()
-            and len(self.even.num) <= 1
-            and len(self.even.den) <= 1
-        )
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not a plain rational")
-        num = self.even.num[0] if self.even.num else 0
-        return Fraction(num, self.even.den[0])
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.field.from_fraction(Fraction(other))

@@ -87,6 +87,8 @@ def jordan_coefficients(
     if max_i < j:
         raise DomainError("max_i must be at least j")
     omega = Fraction(omega)
+    if omega <= 0:
+        raise DomainError("the increment ratio omega must be positive")
     top = max_i if p is None else min(max_i, p)
     coefficients: Dict[int, Fraction] = {}
     for i in range(j, top + 1):

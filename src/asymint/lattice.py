@@ -248,7 +248,6 @@ class ProfileBuilder:
         self.window = window
         self.sigma = sigma
         self.s = report.s
-        self.hq = report.field.h_value if report.field.h_value is not None else None
 
     def _floats(self, h: float):
         rep, prof = self.report, self.profile
@@ -311,11 +310,6 @@ class ProfileBuilder:
         return out
 
 
-def build_profile(profile: MultiscaleProfile, window: int, h: float, report: ReductionReport, sigma: int = 1) -> LatticeState:
-    """Initial lattice data from the truncated expansion."""
-    return ProfileBuilder(report, profile, window, sigma).state(h, 0.0)
-
-
 # --- error scaling ------------------------------------------------------------------
 
 
@@ -355,6 +349,12 @@ def error_scaling(
     flow-advanced prediction."""
     if len(eps_list) < 3:
         raise DomainError("need at least three epsilon values for a slope")
+    if not all(0 < eps <= 0.3 for eps in eps_list):
+        raise DomainError("every epsilon must lie in (0, 0.3]")
+    if not 0 < h < 1:
+        raise DomainError("the lattice spacing h must lie in (0, 1)")
+    if not (0 < T < math.inf and 0 < dt < math.inf):
+        raise DomainError("the horizon T and the step dt must be positive and finite")
     if report is None:
         report = run_reduction(ModelParams(s=s), order=5)
     rows: List[ScalingRow] = []

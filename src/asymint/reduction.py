@@ -336,7 +336,6 @@ class _Run:
         self.params = params
         self.order = order
         self.field = params.field()
-        self.sigma = params.sigma
         self.r_nu, self.r_phi = lattice_residual_series(params, self.field, order)
         self.rules = EvolutionRules(one=self.field.one)
         self.nu_solutions: Dict[int, DiffPolynomial] = {}
@@ -671,7 +670,9 @@ def derive_dispersion(s: int) -> DispersionData:
 
 def run_reduction(params: ModelParams, order: int = 9) -> ReductionReport:
     """Resolve the expansion through eps^order and report every extracted
-    object.  Orders beyond nine are accepted but carry no verified outputs."""
+    object.  Order ten only adds the amplitude correction nu^(5), which no
+    check verifies; above ten the run stops with ValueError at eps^11, the
+    first order without a solver stage."""
     if order < 3:
         raise ValueError("the reduction needs at least the dispersion order")
     dispersion = derive_dispersion(params.s)

@@ -1,18 +1,20 @@
 """Shared fixtures.
 
-The reduction and the commutation solves are deterministic and moderately
-expensive, so each (s, order) combination is computed once per session and
-shared across test modules.
+The reduction, the commutation solves and the error-scaling runs are
+deterministic and moderately expensive, so each is computed once per
+session and shared across test modules.
 """
 
 import pytest
 
 from asymint.compatibility import build_problem, solve_compatibility
 from asymint.field import ModelParams
+from asymint.lattice import error_scaling
 from asymint.reduction import run_reduction
 
 _ENGINE = {}
 _COMMUTATION = {}
+_SCALING = {}
 
 
 @pytest.fixture(scope="session")
@@ -35,5 +37,18 @@ def commutation(engine):
                 build_problem(engine(s, order), order)
             )
         return _COMMUTATION[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def scaling(engine):
+    """Error scaling per branch with the criterion-09 settings."""
+    def get(s):
+        if s not in _SCALING:
+            _SCALING[s] = error_scaling(
+                s, 0.5, [0.2, 0.1, 0.05], T=0.1, dt=0.02, report=engine(s, 5)
+            )
+        return _SCALING[s]
 
     return get

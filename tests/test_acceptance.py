@@ -24,7 +24,6 @@ from asymint.lattice import (
     LatticeState,
     MultiscaleProfile,
     ProfileBuilder,
-    error_scaling,
     integrate,
 )
 from asymint.reduction import run_reduction
@@ -274,7 +273,7 @@ def test_criterion_08_difference_reexpansion_exactness(announce):
            "exact rational zero", checks)
 
 
-def test_criterion_09_numeric_validation(announce, engine):
+def test_criterion_09_numeric_validation(announce, engine, scaling):
     start = time.monotonic()
     checks = []
     dt, T = 1e-3, 1.0
@@ -296,9 +295,7 @@ def test_criterion_09_numeric_validation(announce, engine):
                    drifts[0.02] / drifts[0.01] >= 8.0))
 
     for s in (0, 1):
-        result = error_scaling(s, 0.5, [0.2, 0.1, 0.05], T=0.1, dt=0.02,
-                               report=engine(s, 5))
-        checks.append((f"error-scaling slope >= 1.7 s={s}", result.slope >= 1.7))
+        checks.append((f"error-scaling slope >= 1.7 s={s}", scaling(s).slope >= 1.7))
     finish(announce, 9, "numeric validation", start, 600.0, "10 min",
            "orbit < 1e-8; drift ratio >= 8; slope >= 1.7", checks)
 

@@ -117,6 +117,21 @@ def test_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--s", "0", "--dt", "0"],
+    ["validate", "--s", "0", "--h", "0"],
+    ["validate", "--s", "0", "--T", "-1"],
+    ["jordan", "--j", "1", "--omega", "-1", "--max-i", "4", "--verify", "poly:3"],
+    ["jordan", "--j", "1", "--omega", "0", "--max-i", "4"],
+], ids=["dt-zero", "h-zero", "T-negative", "omega-negative", "omega-zero"])
+def test_out_of_domain_input_exits_one_without_artifact(capsys, tmp_path, argv):
+    out_path = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "error" in err[0], err
+    assert not out_path.exists()
+
+
 def test_cache_directory_reuses_the_artifact(capsys, monkeypatch, tmp_path):
     cache = tmp_path / "cache"
     monkeypatch.setenv("ASYMINT_CACHE_DIR", str(cache))
@@ -134,6 +149,11 @@ def test_cache_directory_reuses_the_artifact(capsys, monkeypatch, tmp_path):
     code, again = run(capsys, "reduce", "--s", "1", "--order", "5")
     assert code == 0
     assert again == out
+
+    # an entry written by sources with another digest is never served
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    with pytest.raises(AssertionError, match="cache miss"):
+        main(["reduce", "--s", "1", "--order", "5"])
 
 
 def test_perturbing_one_engine_coefficient_flips_the_verdict(capsys, monkeypatch):

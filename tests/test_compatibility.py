@@ -14,6 +14,7 @@ import pytest
 from asymint.compatibility import (
     build_problem,
     commutator_equations,
+    eliminate_unknowns,
     rref,
     solve_compatibility,
     strip_content,
@@ -168,6 +169,25 @@ def test_rref_is_a_canonical_form():
     assert len(a) == len(b) == 2
     for left, right in zip(a, b):
         assert (left - right).is_zero()
+
+
+def test_pivots_skip_zero_divisors():
+    # c^2 = 1 when s = 0, so 1 + c is a nonzero zero divisor with no inverse
+    f = CoeffField(0)
+    a1, x1, x2 = syms(f, "a1", "x1", "x2")
+    zero_divisor = 1 + f.c
+    solved, leftovers = eliminate_unknowns(
+        [zero_divisor * x2 + x1 - a1, x2 - 2 * a1], ["x1", "x2"], f
+    )
+    assert leftovers == []
+    assert set(solved) == {"x1", "x2"}
+    assert (solved["x1"] - (a1 - zero_divisor * 2 * a1)).is_zero()
+    assert (solved["x2"] - 2 * a1).is_zero()
+
+    rows = rref([zero_divisor * a1, a1 + x2], f)
+    assert len(rows) == 2
+    assert (rows[0] - (a1 + x2)).is_zero()
+    assert (rows[1] + zero_divisor * x2).is_zero()
 
 
 def test_verdicts_survive_branch_flip(commutation):

@@ -18,7 +18,6 @@ from asymint.lattice import (
     LatticeState,
     MultiscaleProfile,
     ProfileBuilder,
-    build_profile,
     error_scaling,
     integrate,
     rhs,
@@ -28,16 +27,6 @@ from asymint.lattice import (
 from asymint.reduction import run_reduction
 
 H = 0.5
-
-
-@pytest.fixture(scope="module")
-def scaling(engine):
-    return {
-        s: error_scaling(
-            s, H, [0.2, 0.1, 0.05], T=0.1, dt=0.02, report=engine(s, 5)
-        )
-        for s in (0, 1)
-    }
 
 
 def random_state(seed=7, sites=64):
@@ -104,7 +93,7 @@ def test_soliton_parameters_are_solved_from_the_flow(engine):
 
 
 def test_profile_at_zero_epsilon_is_the_background(engine):
-    state = build_profile(MultiscaleProfile(epsilon=0.0), 32, H, engine(1, 5))
+    state = ProfileBuilder(engine(1, 5), MultiscaleProfile(epsilon=0.0), 32).state(H, 0.0)
     assert np.allclose(state.values, 1.0, atol=1e-15)
 
 
@@ -114,7 +103,7 @@ def test_profile_amplitude_has_the_predicted_leading_size(engine):
     amp = data.amplitude.eval_float(Fraction(1, 2))
     c = math.sqrt(1 - H * H)
     for eps in (0.1, 0.05):
-        state = build_profile(MultiscaleProfile(epsilon=eps), 1200, H, rep)
+        state = ProfileBuilder(rep, MultiscaleProfile(epsilon=eps), 1200).state(H, 0.0)
         u_inf = -2 * amp / (len(state.values) * eps * H)
         peak = eps * eps * abs(c * (amp + u_inf))
         measured = np.max(np.abs(np.abs(state.values) ** 2 - 1))
@@ -153,7 +142,7 @@ def test_dt_refinement_on_a_soliton_is_fourth_order(engine):
 
 def test_error_scaling_slope(scaling):
     for s in (0, 1):
-        result = scaling[s]
+        result = scaling(s)
         assert result.slope >= 1.7, (s, result.slope)
         sups = [row.sup_error for row in result.rows]
         assert sups == sorted(sups, reverse=True)
@@ -161,7 +150,7 @@ def test_error_scaling_slope(scaling):
 
 
 def test_plain_branch_error_is_no_smaller(scaling):
-    for row0, row1 in zip(scaling[0].rows, scaling[1].rows):
+    for row0, row1 in zip(scaling(0).rows, scaling(1).rows):
         assert row0.epsilon == row1.epsilon
         assert row0.sup_error >= row1.sup_error
 
