@@ -19,7 +19,7 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from . import __version__
 from .compatibility import build_problem, solve_compatibility
@@ -158,6 +158,16 @@ def _stopwatch(label: str, start: float) -> None:
     sys.stderr.write(f"[{label}] {time.monotonic() - start:.2f}s\n")
 
 
+def _emit(key_parts: List[str], payload: Callable[[], dict], out: Optional[str]) -> str:
+    """Build (or reuse) the JSON artifact of the command named by the first
+    key part, time it on stderr, write it, and return its text."""
+    start = time.monotonic()
+    text = _cached(key_parts, lambda: _json_text(payload()))
+    _stopwatch(key_parts[0], start)
+    _write(text, out)
+    return text
+
+
 # --- subcommands -----------------------------------------------------------------
 
 
@@ -207,13 +217,11 @@ def _reduction_payload(s: int, order: int, h: Optional[Fraction]) -> dict:
 
 
 def _cmd_reduce(args) -> int:
-    start = time.monotonic()
-    text = _cached(
+    _emit(
         ["reduce", str(args.s), str(args.order), str(args.h)],
-        lambda: _json_text(_reduction_payload(args.s, args.order, args.h)),
+        lambda: _reduction_payload(args.s, args.order, args.h),
+        args.out,
     )
-    _stopwatch("reduce", start)
-    _write(text, args.out)
     return 0
 
 
@@ -242,13 +250,11 @@ def _check_payload(s: int, order: int, symbolic: bool) -> dict:
 
 
 def _cmd_check(args) -> int:
-    start = time.monotonic()
-    text = _cached(
+    text = _emit(
         ["check", str(args.s), str(args.order), str(args.symbolic_knowns)],
-        lambda: _json_text(_check_payload(args.s, args.order, args.symbolic_knowns)),
+        lambda: _check_payload(args.s, args.order, args.symbolic_knowns),
+        args.out,
     )
-    _stopwatch("check", start)
-    _write(text, args.out)
     return 2 if json.loads(text)["verdict"] == "FAIL" else 0
 
 
@@ -336,10 +342,7 @@ def _proposition_payload() -> dict:
 
 
 def _cmd_proposition(args) -> int:
-    start = time.monotonic()
-    text = _cached(["proposition"], lambda: _json_text(_proposition_payload()))
-    _stopwatch("proposition", start)
-    _write(text, args.out)
+    text = _emit(["proposition"], _proposition_payload, args.out)
     return 0 if json.loads(text)["reproduced"] else 2
 
 

@@ -32,14 +32,7 @@ from .errors import InconsistentSystemError, ZeroInverse
 from .field import CoeffElement, CoeffField
 from .hierarchy import FlowHierarchy
 from .knowns import KnownPoly
-from .labels import (
-    T2_SECOND,
-    T2_THIRD,
-    T2_THIRD_KDV,
-    T3_SECOND,
-    LabeledBasis,
-    generic_basis,
-)
+from .labels import NINTH_ORDER, T2_SECOND, T3_SECOND, LabeledBasis, generic_basis
 
 
 @dataclass
@@ -199,22 +192,6 @@ def _lifted(field: CoeffField, poly: DiffPolynomial) -> DiffPolynomial:
     return poly.map_coeffs(lambda ce: KnownPoly.constant(field, ce))
 
 
-def _linearized(
-    field: CoeffField,
-    hier: FlowHierarchy,
-    j: int,
-    norm: CoeffElement,
-    kind: str,
-    index: int,
-) -> DiffPolynomial:
-    leaf = DiffPolynomial.leaf(FieldSymbol(kind, index), 0, field.one)
-    if kind == "vphi":
-        applied = hier.linearized_kdv_flow(j, norm).apply(leaf)
-    else:
-        applied = hier.linearized_flow(j, norm).apply(leaf)
-    return _lifted(field, applied)
-
-
 def _filled(basis: LabeledBasis, values: Dict[str, CoeffElement], field: CoeffField):
     return {name: values.get(name, field.zero) for name in basis.labels}
 
@@ -231,8 +208,9 @@ def _order7_problem(
     rules = EvolutionRules(one=KnownPoly.constant(field, field.one))
     rules.set("phi", 1, 2, _lifted(field, hier.flow(2, alpha1)))
     rules.set("phi", 1, 3, _lifted(field, hier.flow(3, beta3)))
-    rules.set("phi", 2, 2, _linearized(field, hier, 2, alpha1, "phi", 2) + T2_SECOND.ansatz(field))
-    rules.set("phi", 2, 3, _linearized(field, hier, 3, beta3, "phi", 2) + T3_SECOND.ansatz(field))
+    for j, norm, basis in ((2, alpha1, T2_SECOND), (3, beta3, T3_SECOND)):
+        linear = _lifted(field, hier.linearized(j, norm, "phi", 2))
+        rules.set("phi", 2, j, linear + basis.ansatz(field))
     return CompatibilityProblem(
         variant="potential",
         order=7,
@@ -257,6 +235,9 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
         return problem
     if order != 9:
         raise ValueError(f"no commutation problem at order {order}")
+    variant = engine_report.variant
+    if variant not in NINTH_ORDER:
+        raise ValueError(f"reduction report carries no ninth-order variant: {variant!r}")
 
     seven = solve_compatibility(build_problem(engine_report, 7))
     if seven.residual_constraints:
@@ -265,60 +246,28 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
         {m: v for (name, m) in T3_SECOND.pairs if (v := seven.solved_coefficients[name])}
     )
     rules = problem.evolution_rules
-    rules.set(
-        "phi", 2, 3, _linearized(field, hier, 3, beta3, "phi", 2) + f_t3_solved
-    )
+    rules.set("phi", 2, 3, _lifted(field, hier.linearized(3, beta3, "phi", 2)) + f_t3_solved)
 
-    variant = engine_report.variant
+    kind, third, name = NINTH_ORDER[variant]
+    ansatz_basis = generic_basis("q", third.weight + 2, third.grading, 2)
     known_values = problem.known_values
-    if variant == "potential":
-        ansatz_basis = generic_basis("q", 10, "potential", 2)
-        known_values.update(
-            _filled(T2_THIRD, engine_report.forcings["h_t2"].coefficients, field)
-        )
-        rules.set(
-            "phi", 3, 2, _linearized(field, hier, 2, alpha1, "phi", 3) + T2_THIRD.ansatz(field)
-        )
-        rules.set(
-            "phi", 3, 3, _linearized(field, hier, 3, beta3, "phi", 3) + ansatz_basis.ansatz(field)
-        )
-        target = FieldSymbol("phi", 3)
-    elif variant == "kdv":
-        ansatz_basis = generic_basis("q", 11, "kdv", 2)
-        known_values.update(
-            _filled(T2_THIRD_KDV, engine_report.forcings["g_t2"].coefficients, field)
-        )
-        kdv = EvolutionRules(one=rules.one)
-        kdv.set("vphi", 1, 2, _lifted(field, hier.kdv_flow(2, alpha1)))
-        kdv.set("vphi", 1, 3, _lifted(field, hier.kdv_flow(3, beta3)))
-        kdv.set(
-            "vphi", 2, 2,
-            _linearized(field, hier, 2, alpha1, "vphi", 2)
-            + T2_SECOND.ansatz(field).d_x().rename_to_kdv(),
-        )
-        kdv.set(
-            "vphi", 2, 3,
-            _linearized(field, hier, 3, beta3, "vphi", 2)
-            + f_t3_solved.d_x().rename_to_kdv(),
-        )
-        kdv.set(
-            "vphi", 3, 2,
-            _linearized(field, hier, 2, alpha1, "vphi", 3) + T2_THIRD_KDV.ansatz(field),
-        )
-        kdv.set(
-            "vphi", 3, 3,
-            _linearized(field, hier, 3, beta3, "vphi", 3) + ansatz_basis.ansatz(field),
-        )
-        rules = kdv
-        target = FieldSymbol("vphi", 3)
-    else:
-        raise ValueError(f"reduction report carries no ninth-order variant: {variant!r}")
+    known_values.update(_filled(third, engine_report.forcings[name].coefficients, field))
+    if kind == "vphi":
+        # the kdv problem lives on the derivative fields alone
+        rules = EvolutionRules(one=rules.one)
+        for j, norm, forcing in ((2, alpha1, T2_SECOND.ansatz(field)), (3, beta3, f_t3_solved)):
+            rules.set("vphi", 1, j, _lifted(field, hier.kdv_flow(j, norm)))
+            linear = _lifted(field, hier.linearized(j, norm, "vphi", 2))
+            rules.set("vphi", 2, j, linear + forcing.d_x().rename_to_kdv())
+    for j, norm, basis in ((2, alpha1, third), (3, beta3, ansatz_basis)):
+        linear = _lifted(field, hier.linearized(j, norm, kind, 3))
+        rules.set(kind, 3, j, linear + basis.ansatz(field))
 
     return CompatibilityProblem(
         variant=variant,
         order=9,
         field=field,
-        target=target,
+        target=FieldSymbol(kind, 3),
         known_values=known_values,
         ansatz_basis=ansatz_basis,
         evolution_rules=rules,

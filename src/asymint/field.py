@@ -33,14 +33,12 @@ class ModelParams:
     """Parameters selecting one member of the combined lattice family.
 
     s=0 is the standard discretisation, s=1 the integrable one.  sigma is
-    the nonlinearity sign, c_sign the branch of the wave speed used when
-    numbers are produced, h_value an optional exact specialisation of the
+    the nonlinearity sign, h_value an optional exact specialisation of the
     lattice spacing.
     """
 
     s: int
     sigma: int = 1
-    c_sign: int = 1
     h_value: Optional[Fraction] = None
 
     def __post_init__(self):
@@ -48,8 +46,6 @@ class ModelParams:
             raise ValueError(f"s must be 0 or 1, got {self.s!r}")
         if self.sigma not in (1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
-        if self.c_sign not in (1, -1):
-            raise ValueError(f"c_sign must be +1 or -1, got {self.c_sign!r}")
         if self.h_value is not None:
             h = self.h_value
             if not isinstance(h, Fraction):

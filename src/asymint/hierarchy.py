@@ -62,6 +62,12 @@ class FlowHierarchy:
     def linearized_kdv_flow(self, j: int, beta) -> LinearDiffOperator:
         return self.kdv_flow(j, beta).frechet("vphi", 1)
 
+    def linearized(self, j: int, beta, kind: str, index: int) -> DiffPolynomial:
+        """The j-th linearized flow applied to the correction field
+        (kind, index): K_j' on a phi field, H_j' on a vphi field."""
+        op = self.linearized_kdv_flow(j, beta) if kind == "vphi" else self.linearized_flow(j, beta)
+        return op.apply(DiffPolynomial.leaf(FieldSymbol(kind, index), 0, self.field.one))
+
 
 def flow_commutator(
     p: DiffPolynomial, q: DiffPolynomial, kind: str, index: int = 1

@@ -115,6 +115,8 @@ def verify_on_sequence(
     of the given spacing (in fine-increment units), so both grids must land
     on it."""
     step = Fraction(step)
+    if step <= 0:
+        raise DomainError(f"the grid spacing must be positive, got {step}")
     fine = Fraction(1) / step
     coarse = exp.omega / step
     if fine.denominator != 1 or coarse.denominator != 1:

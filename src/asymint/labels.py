@@ -42,6 +42,11 @@ class LabeledBasis:
         return tuple(name for name, _ in self.pairs)
 
     @property
+    def space(self) -> str:
+        """Name of the graded space, as reported beside a forcing."""
+        return f"P_{self.weight}^({self.max_index}) {self.grading}"
+
+    @property
     def monomials(self) -> Tuple[Monomial, ...]:
         return tuple(m for _, m in self.pairs)
 
@@ -126,6 +131,10 @@ T2_THIRD_KDV = LabeledBasis(
         ("d14", _p(("vphi", 2, 0), ("vphi", 2, 1))),
     ),
 )
+
+# Per ninth-order variant: the field kind of the t2 forcing on the third
+# correction field, its labeled basis, and its name in the reduction report.
+NINTH_ORDER = {"potential": ("phi", T2_THIRD, "h_t2"), "kdv": ("vphi", T2_THIRD_KDV, "g_t2")}
 
 
 def generic_basis(prefix: str, weight: int, grading: str, max_index: int) -> LabeledBasis:

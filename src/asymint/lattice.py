@@ -55,20 +55,24 @@ def rhs(state: LatticeState, s: int, sigma: int = 1) -> np.ndarray:
     return 1j * (lap * factor - sigma * mod * f)
 
 
-def integrate(state: LatticeState, dt: float, steps: int, s: int, sigma: int = 1) -> LatticeState:
+def integrate(state: LatticeState, dt: float, steps: int, s: int) -> LatticeState:
     """Advance by steps of the classical fourth-order scheme; local error
     O(dt^5).  Raises StabilityError when the field stops being finite."""
+    if not 0 < dt < math.inf:
+        raise DomainError(f"the step dt must be positive and finite, got {dt}")
+    if steps < 0:
+        raise DomainError(f"the step count must not be negative, got {steps}")
     out = state.copy()
     check_every = max(1, steps // 64)
     for k in range(steps):
         y = out.values
-        k1 = rhs(out, s, sigma)
+        k1 = rhs(out, s)
         out.values = y + 0.5 * dt * k1
-        k2 = rhs(out, s, sigma)
+        k2 = rhs(out, s)
         out.values = y + 0.5 * dt * k2
-        k3 = rhs(out, s, sigma)
+        k3 = rhs(out, s)
         out.values = y + dt * k3
-        k4 = rhs(out, s, sigma)
+        k4 = rhs(out, s)
         out.values = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.time += dt
         if k % check_every == 0 and not np.all(np.isfinite(out.values.view(np.float64))):
@@ -143,12 +147,6 @@ class SechPoly:
     def get(self, a: int, b: int) -> CoeffElement:
         return self.terms.get((a, b), self.field.zero)
 
-    def eval_arrays(self, S: np.ndarray, T: np.ndarray, h, c_sign: int = 1) -> np.ndarray:
-        out = np.zeros_like(S)
-        for (a, b), v in self.terms.items():
-            out = out + v.eval_float(h, c_sign) * (S**a) * (T**b if b else 1.0)
-        return out
-
 
 def _substitute_flow(flow: DiffPolynomial, jets: Dict[int, SechPoly], field: CoeffField) -> SechPoly:
     """The flow with every jet of the first field replaced by the profile
@@ -213,20 +211,19 @@ def soliton_residual(flow2: DiffPolynomial, field: CoeffField, data: SolitonData
 # --- profile construction ----------------------------------------------------------
 
 
+# sech^2 width of the traveling profile in the slow variable
+WIDTH = Fraction(1)
+
+
 @dataclass(frozen=True)
 class MultiscaleProfile:
     """Parameters of the constructed approximate solution."""
 
     epsilon: float
-    width: Fraction = Fraction(1)
-    center: float = 0.0
-    truncation: int = 1
 
     def __post_init__(self):
         if not (0 <= self.epsilon <= 0.3):
             raise DomainError("epsilon must lie in [0, 0.3]")
-        if self.truncation not in (1, 2):
-            raise DomainError("truncation order must be 1 or 2")
 
 
 class ProfileBuilder:
@@ -240,23 +237,22 @@ class ProfileBuilder:
     potential, both consequences of the same quadratic flow.
     """
 
-    def __init__(self, report: ReductionReport, profile: MultiscaleProfile, window: int, sigma: int = 1):
+    def __init__(self, report: ReductionReport, profile: MultiscaleProfile, window: int):
         if window < 4:
             raise DomainError("window too small")
         self.report = report
         self.profile = profile
         self.window = window
-        self.sigma = sigma
         self.s = report.s
 
     def _floats(self, h: float):
         rep, prof = self.report, self.profile
-        data = solve_soliton(rep.flows["K2"], rep.field, prof.width)
+        data = solve_soliton(rep.flows["K2"], rep.field, WIDTH)
         alpha2 = rep.alphas[2]
         eps = prof.epsilon
         length = self.window * eps * h
         A = data.amplitude.eval_float(h)
-        B = float(prof.width)
+        B = float(WIDTH)
         v = data.speed.eval_float(h)
         a2 = alpha2.eval_float(h)
         u_inf = -2.0 * (A / B) / length
@@ -270,26 +266,21 @@ class ProfileBuilder:
         second flow in its slow time, carried along the frame, on top of the
         constant orbit."""
         if self.profile.epsilon == 0:
-            values = np.full(self.window, np.exp(-1j * self.sigma * t), dtype=complex)
+            values = np.full(self.window, np.exp(-1j * t), dtype=complex)
             return LatticeState(values, h, t)
         eps, length, A, B, _, _, u_inf, v_hat, drift, c = self._floats(h)
         n = np.arange(self.window)
         x = eps * h * n - c * eps * t
         t2 = eps**3 * t
-        center = self.profile.center + v_hat * t2
-        y = np.mod(x - center + 0.5 * length, length) - 0.5 * length
+        peak = v_hat * t2
+        y = np.mod(x - peak + 0.5 * length, length) - 0.5 * length
         S = 1.0 / np.cosh(B * y) ** 2
         T = np.tanh(B * y)
         phi1 = u_inf * y + (A / B) * T
-        global_phase = u_inf * (center) + drift * t2
-        phi = -self.sigma * t + eps * (phi1 + global_phase)
+        global_phase = u_inf * peak + drift * t2
+        phi = -t + eps * (phi1 + global_phase)
         jets = {1: u_inf + A * S}
         nu = 1.0 + eps**2 * self._poly(self.report.amplitude(1), jets, h)
-        if self.profile.truncation == 2:
-            sech_jets = profile_jets(self.report.field, self.profile.width, 5)
-            for ell in range(2, 6):
-                jets[ell] = A * sech_jets[ell].eval_arrays(S, T, h)
-            nu = nu + eps**4 * self._poly(self.report.amplitude(2), jets, h)
         if np.any(nu <= 0):
             raise DomainError("amplitude correction drove the field density nonpositive")
         values = np.sqrt(nu) * np.exp(1j * phi)
@@ -340,8 +331,6 @@ def error_scaling(
     eps_list: Sequence[float],
     T: float = 0.5,
     dt: float = 0.01,
-    width: Fraction = Fraction(1),
-    min_sites: Optional[int] = None,
     report: Optional[ReductionReport] = None,
 ) -> ScalingResult:
     """Integrate from the constructed profile over the slow horizon T (so
@@ -359,9 +348,8 @@ def error_scaling(
         report = run_reduction(ModelParams(s=s), order=5)
     rows: List[ScalingRow] = []
     for eps in eps_list:
-        sites = max(min_sites or 0, int(math.ceil(30.0 / (float(width) * eps * h))))
-        prof = MultiscaleProfile(epsilon=eps, width=width)
-        builder = ProfileBuilder(report, prof, sites)
+        sites = int(math.ceil(30.0 / (float(WIDTH) * eps * h)))
+        builder = ProfileBuilder(report, MultiscaleProfile(epsilon=eps), sites)
         state = builder.state(h, 0.0)
         horizon = T / eps**3
         steps = max(1, int(round(horizon / dt)))

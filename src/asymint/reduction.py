@@ -14,9 +14,11 @@ forcings.  Removing the secular single-derivative monomial fixes the flow
 normalization beta_j; whatever remains beside the linearized flows is the
 forcing polynomial, reported through its labeled graded basis.
 
-When the top-order forcing is not an exact x-derivative (the on-site
-lattice at the ninth order) the split is performed on the differentiated
-equation instead, with every d^ell phi^(j) renamed to d^(ell-1) vphi^(j).
+The ninth order is one stage with two variants.  In the potential variant
+the split runs on phi^(3), as the seventh order's runs on phi^(2).  The kdv
+variant is taken when the forcing is not an exact x-derivative (the on-site
+lattice): the split then runs on the differentiated equation, with every
+d^ell phi^(j) renamed to d^(ell-1) vphi^(j).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import (
 )
 from .field import CoeffElement, CoeffField, ModelParams
 from .hierarchy import FlowHierarchy
-from .labels import T2_SECOND, T2_THIRD, T2_THIRD_KDV, T3_SECOND, LabeledBasis
+from .labels import NINTH_ORDER, T2_SECOND, T3_SECOND, LabeledBasis
 
 _TAU = FieldSymbol("tau", 1)
 
@@ -299,8 +301,6 @@ class DispersionData:
 
 @dataclass
 class Forcing:
-    target: str
-    time: int
     space: str
     coefficients: Dict[str, CoeffElement]
     poly: DiffPolynomial
@@ -445,37 +445,27 @@ class _Run:
             raise InconsistentSystemError("eps^7: unexpected unknown set")
         lam = self.shared_lambda(lams, 7)
         combined = known.integrate_x().scale(-(lam.inv()))
-        second = combined.part_of_degree("phi", 2, 1)
-        first = combined.part_of_degree("phi", 2, 0)
-        if combined != second + first:
-            raise SecularResidueError("eps^7: terms of higher degree in phi^(2) remain")
-        linear2 = self.hier.linearized_flow(2, self.alphas[1]).apply(
-            DiffPolynomial.leaf(FieldSymbol("phi", 2), 0, self.field.one)
-        )
-        if second != linear2:
-            raise SecularResidueError(
-                "eps^7: the phi^(2) sector is not the linearized t2 flow"
-            )
-        beta3 = first.terms.get(mono(("phi", 1, 5)), self.field.zero)
+
+        def coeff(*factors) -> CoeffElement:
+            return combined.terms.get(mono(*factors), self.field.zero)
+
+        beta3 = coeff(("phi", 1, 5))
         flow3 = self.hier.flow(3, beta3)
-        forcing = first - flow3
-        coeffs = _express(T2_SECOND, forcing, "eps^7")
+        rule, forcing = self.split_forcing(combined - flow3, "phi", 2, T2_SECOND, "eps^7")
         self.betas[3] = beta3
-        self.alphas[3] = first.terms.get(mono(("phi", 1, 2), ("phi", 1, 2)), self.field.zero)
-        self.alphas[4] = first.terms.get(
-            mono(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1)), self.field.zero
-        )
-        self.alphas[5] = first.terms.get(mono(("phi", 1, 1), ("phi", 1, 3)), self.field.zero)
+        self.alphas[3] = coeff(("phi", 1, 2), ("phi", 1, 2))
+        self.alphas[4] = coeff(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1))
+        self.alphas[5] = coeff(("phi", 1, 1), ("phi", 1, 3))
         # the fifth-derivative coefficient is itself the flow normalization:
         # no other choice of beta3 cancels the secular monomial
         self.alphas[6] = beta3
         self.flows["K3"] = flow3
         self.rules.set("phi", 1, 3, flow3)
-        self.rules.set("phi", 2, 2, linear2 + forcing)
-        self.forcings["f_t2"] = Forcing("phi2", 2, "P_6^(1) potential", coeffs, forcing)
+        self.rules.set("phi", 2, 2, rule)
+        self.forcings["f_t2"] = forcing
         self.log.append(
             f"eps^7: t3 flow and first forcing; beta3 = {beta3.text()}, "
-            + ", ".join(f"{n} = {v.text()}" for n, v in sorted(coeffs.items()))
+            + ", ".join(f"{n} = {v.text()}" for n, v in sorted(forcing.coefficients.items()))
         )
 
     def prepare_t3_correction(self) -> None:
@@ -492,16 +482,20 @@ class _Run:
         forcing = DiffPolynomial(
             {m: b_values[name] for name, m in T3_SECOND.pairs if not b_values[name].is_zero()}
         )
-        linear3 = self.hier.linearized_flow(3, self.betas[3]).apply(
-            DiffPolynomial.leaf(FieldSymbol("phi", 2), 0, self.field.one)
-        )
+        linear3 = self.hier.linearized(3, self.betas[3], "phi", 2)
         self.rules.set("phi", 2, 3, linear3 + forcing)
-        self.forcings["f_t3"] = Forcing("phi2", 3, "P_8^(1) potential", b_values, forcing)
+        self.forcings["f_t3"] = Forcing(T3_SECOND.space, b_values, forcing)
         self.log.append(
             "eps^9 prep: t3 correction for phi^(2) fixed by cross-derivative identity"
         )
 
     def stage_t4(self) -> None:
+        """The ninth order, in one of two variants.  When the known remainder
+        is an exact x-derivative (potential), it splits on phi^(3) as the
+        seventh order splits on phi^(2).  Otherwise (kdv, the on-site
+        lattice) the combined unknown enters as d_x of the evolutions, so
+        the split runs on the differentiated equation, renamed to the
+        derivative fields vphi and matched against the companion flows H_j."""
         lams, known = self.phase_residual(9)
         expect = {FieldSymbol("phi", 1, (4,)), FieldSymbol("phi", 3, (2,))}
         if set(lams) != expect:
@@ -509,64 +503,48 @@ class _Run:
         lam = self.shared_lambda(lams, 9)
         try:
             combined = known.integrate_x().scale(-(lam.inv()))
+            self.variant = "potential"
         except NonLocalError:
-            self.stage_t4_kdv(known.scale(-(lam.inv())))
-            return
-        self.variant = "potential"
-        beta4 = combined.terms.get(mono(("phi", 1, 7)), self.field.zero)
-        flow4 = self.hier.flow(4, beta4)
-        rest = combined - flow4
-        third = rest.part_of_degree("phi", 3, 1)
-        other = rest.part_of_degree("phi", 3, 0)
-        if rest != third + other:
-            raise SecularResidueError("eps^9: terms of higher degree in phi^(3) remain")
-        linear2 = self.hier.linearized_flow(2, self.alphas[1]).apply(
-            DiffPolynomial.leaf(FieldSymbol("phi", 3), 0, self.field.one)
-        )
-        if third != linear2:
-            raise SecularResidueError(
-                "eps^9: the phi^(3) sector is not the linearized t2 flow"
-            )
-        coeffs = _express(T2_THIRD, other, "eps^9")
+            combined = known.scale(-(lam.inv())).rename_to_kdv()
+            self.variant = "kdv"
+        kind, third, name = NINTH_ORDER[self.variant]
+        beta4 = combined.terms.get(mono((kind, 1, 7)), self.field.zero)
+        flow4 = self.hier.kdv_flow(4, beta4) if kind == "vphi" else self.hier.flow(4, beta4)
+        rule, forcing = self.split_forcing(combined - flow4, kind, 3, third, "eps^9")
         self.betas[4] = beta4
-        self.flows["K4"] = flow4
-        self.rules.set("phi", 1, 4, flow4)
-        self.rules.set("phi", 3, 2, linear2 + other)
-        self.forcings["h_t2"] = Forcing("phi3", 2, "P_8^(2) potential", coeffs, other)
+        self.forcings[name] = forcing
+        if kind == "phi":
+            self.flows["K4"] = flow4
+            self.rules.set("phi", 1, 4, flow4)
+            self.rules.set("phi", 3, 2, rule)
+            split = "potential split"
+        else:
+            self.flows["K4"] = self.hier.flow(4, beta4)
+            self.kdv_rules = self._build_kdv_rules(rule)
+            split = "derivative-field split"
         self.log.append(
-            f"eps^9: potential split; beta4 = {beta4.text()}, "
-            f"{sum(1 for v in coeffs.values() if v)} forcing coefficients"
+            f"eps^9: {split}; beta4 = {beta4.text()}, "
+            f"{sum(1 for v in forcing.coefficients.values() if v)} forcing coefficients"
         )
 
-    def stage_t4_kdv(self, derivative_sum: DiffPolynomial) -> None:
-        """Ninth-order split on the differentiated equation: the combined
-        unknown enters as d_x of the evolutions, so rename to the derivative
-        fields and match the companion hierarchy there."""
-        self.variant = "kdv"
-        renamed = derivative_sum.rename_to_kdv()
-        beta4 = renamed.terms.get(mono(("vphi", 1, 7)), self.field.zero)
-        flow4 = self.hier.kdv_flow(4, beta4)
-        rest = renamed - flow4
-        third = rest.part_of_degree("vphi", 3, 1)
-        other = rest.part_of_degree("vphi", 3, 0)
-        if rest != third + other:
-            raise SecularResidueError("eps^9: terms of higher degree in vphi^(3) remain")
-        linear2 = self.hier.linearized_kdv_flow(2, self.alphas[1]).apply(
-            DiffPolynomial.leaf(FieldSymbol("vphi", 3), 0, self.field.one)
-        )
-        if third != linear2:
+    def split_forcing(
+        self, rest: DiffPolynomial, kind: str, index: int, basis: LabeledBasis, stage: str
+    ) -> Tuple[DiffPolynomial, Forcing]:
+        """Split what is left beside the new flow into the linearized t2
+        flow on the field (kind, index) and the forcing, which carries no
+        such field; returns the field's t2 rule and the forcing."""
+        field = f"{kind}^({index})"
+        linear = rest.part_of_degree(kind, index, 1)
+        other = rest.part_of_degree(kind, index, 0)
+        if rest != linear + other:
+            raise SecularResidueError(f"{stage}: terms of higher degree in {field} remain")
+        linear2 = self.hier.linearized(2, self.alphas[1], kind, index)
+        if linear != linear2:
             raise SecularResidueError(
-                "eps^9: the vphi^(3) sector is not the linearized t2 flow"
+                f"{stage}: the {field} sector is not the linearized t2 flow"
             )
-        coeffs = _express(T2_THIRD_KDV, other, "eps^9")
-        self.betas[4] = beta4
-        self.flows["K4"] = self.hier.flow(4, beta4)
-        self.forcings["g_t2"] = Forcing("vphi3", 2, "P_9^(2) kdv", coeffs, other)
-        self.kdv_rules = self._build_kdv_rules(linear2 + other)
-        self.log.append(
-            f"eps^9: derivative-field split; beta4 = {beta4.text()}, "
-            f"{sum(1 for v in coeffs.values() if v)} forcing coefficients"
-        )
+        coeffs = _express(basis, other, stage)
+        return linear2 + other, Forcing(basis.space, coeffs, other)
 
     def _build_kdv_rules(self, third_rule: DiffPolynomial) -> EvolutionRules:
         rules = EvolutionRules(one=self.field.one)

@@ -5,6 +5,8 @@ deterministic and moderately expensive, so each is computed once per
 session and shared across test modules.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from asymint.compatibility import build_problem, solve_compatibility
@@ -15,6 +17,7 @@ from asymint.reduction import run_reduction
 _ENGINE = {}
 _COMMUTATION = {}
 _SCALING = {}
+_PINNED = {}
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +40,22 @@ def commutation(engine):
                 build_problem(engine(s, order), order)
             )
         return _COMMUTATION[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def pinned_commutation():
+    """Commutation reports from one order-9 reduction run with h pinned to
+    1/3 before solving."""
+    def get(s, order):
+        if s not in _PINNED:
+            params = ModelParams(s=s, h_value=Fraction(1, 3))
+            _PINNED[s] = (run_reduction(params, order=9), {})
+        report, solved = _PINNED[s]
+        if order not in solved:
+            solved[order] = solve_compatibility(build_problem(report, order))
+        return solved[order]
 
     return get
 

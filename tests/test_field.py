@@ -83,7 +83,7 @@ def test_parse_rejects_garbage():
 
 def test_model_params_validation():
     ModelParams(s=0)
-    ModelParams(s=1, sigma=-1, c_sign=-1)
+    ModelParams(s=1, sigma=-1)
     with pytest.raises(ValueError):
         ModelParams(s=2)
     with pytest.raises(ValueError):

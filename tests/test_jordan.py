@@ -155,6 +155,13 @@ def test_domain_errors():
         verify_on_sequence(exp, [Fraction(k) for k in range(32)], step=Fraction(1))
 
 
+@pytest.mark.parametrize("step", [0, -1, Fraction(-1, 2)])
+def test_verify_rejects_nonpositive_spacing(step):
+    exp = jordan_coefficients(1, Fraction(2), 4)
+    with pytest.raises(DomainError):
+        verify_on_sequence(exp, [Fraction(k) for k in range(32)], step=step)
+
+
 def test_insufficient_samples():
     exp = jordan_coefficients(2, Fraction(3), 8)
     with pytest.raises(InsufficientSamples):

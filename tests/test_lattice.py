@@ -163,5 +163,12 @@ def test_error_scaling_needs_three_points(engine):
 def test_profile_domain_checks():
     with pytest.raises(DomainError):
         MultiscaleProfile(epsilon=0.5)
+
+
+@pytest.mark.parametrize("dt, steps", [
+    (0.0, 5), (-0.1, 5), (math.inf, 5), (math.nan, 5), (0.1, -3),
+])
+def test_integrate_rejects_out_of_domain_steps(dt, steps):
+    state = LatticeState(np.ones(8, dtype=complex), H, 0.0)
     with pytest.raises(DomainError):
-        MultiscaleProfile(epsilon=0.1, truncation=3)
+        integrate(state, dt, steps, 0)

@@ -11,9 +11,11 @@ from fractions import Fraction
 import pytest
 
 from asymint.diffpoly import DiffPolynomial, FieldSymbol, mono
-from asymint.errors import DomainError
+from asymint.errors import DomainError, SecularResidueError
 from asymint.field import CoeffField, ModelParams
-from asymint.reduction import derive_dispersion, run_reduction
+from asymint.hierarchy import FlowHierarchy
+from asymint.labels import T2_THIRD, T2_THIRD_KDV
+from asymint.reduction import _Run, derive_dispersion, run_reduction
 
 ALPHAS = {
     0: {
@@ -175,6 +177,24 @@ def test_reduction_is_deterministic(engine):
         k: v.text() for k, v in base.alphas.items()
     }
     assert again.forcings["g_t2"].poly == base.forcings["g_t2"].poly
+
+
+@pytest.mark.parametrize("kind, basis", [("phi", T2_THIRD), ("vphi", T2_THIRD_KDV)])
+def test_forcing_split_rejects_a_foreign_sector(engine, kind, basis):
+    rep = engine(1, 5)
+    run = _Run(ModelParams(s=1), 5)
+    run.alphas[1] = rep.alphas[1]
+    run.hier = FlowHierarchy(rep.alphas[1], rep.alphas[2])
+    one = rep.field.one
+    target = DiffPolynomial.leaf(FieldSymbol(kind, 3), 0, one)
+    linear = run.hier.linearized(2, rep.alphas[1], kind, 3)
+    forcing = DiffPolynomial({basis.monomials[0]: one})
+    rule, got = run.split_forcing(linear + forcing, kind, 3, basis, "eps^9")
+    assert rule == linear + forcing
+    assert got.poly == forcing and got.coefficients == {basis.labels[0]: one}
+    for bad, reason in ((target * target, "higher degree"), (target.d_x(), "linearized t2 flow")):
+        with pytest.raises(SecularResidueError, match=reason):
+            run.split_forcing(linear + forcing + bad, kind, 3, basis, "eps^9")
 
 
 def test_pinned_h_field_runs_the_same_pipeline():
