@@ -26,7 +26,7 @@ from .compatibility import build_problem, solve_compatibility
 from .diffpoly import enumerate_basis, monomial_text
 from .errors import AsymintError
 from .field import ModelParams
-from .jordan import jordan_coefficients, verify_on_sequence
+from .jordan import jordan_coefficients, sample_window, verify_on_sequence
 from .lattice import error_scaling
 from .reduction import run_reduction
 
@@ -275,8 +275,7 @@ def _cmd_jordan(args) -> int:
             return 1
         degree = int(rest)
         step = Fraction(1, args.omega.denominator)
-        span = max(exp.target_order * args.omega.numerator,
-                   max(exp.coefficients) * args.omega.denominator)
+        _, _, span = sample_window(exp, step)
         samples = [
             sum(Fraction(m + 1) * (k * step) ** m for m in range(degree + 1))
             for k in range(span + 4)

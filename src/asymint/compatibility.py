@@ -26,6 +26,7 @@ from .diffpoly import (
     DiffPolynomial,
     EvolutionRules,
     FieldSymbol,
+    accumulate,
     time_derivative,
 )
 from .errors import InconsistentSystemError, ZeroInverse
@@ -175,11 +176,7 @@ def rref(rows: Sequence[KnownPoly], field: CoeffField) -> List[KnownPoly]:
                 if f is None:
                     continue
                 for k, v in pivot.items():
-                    new = row.get(k, field.zero) - f * v
-                    if new.is_zero():
-                        row.pop(k, None)
-                    else:
-                        row[k] = new
+                    accumulate(row, k, -(f * v))
         done.append(pivot)
         work = [row for row in work if row]
     return [KnownPoly(field, terms) for terms in done + work]

@@ -10,6 +10,10 @@ rule.
 Coefficients are duck-typed: anything with ring operations, truthiness for
 zero-testing and a text() method works (CoeffElement for the reduction,
 sparse polynomials in forcing symbols for the compatibility analysis).
+
+accumulate() is the one routine that adds a coefficient into a sparse term
+map, here and in the knowns, compatibility, reduction and lattice modules:
+every sum is built in place in one dict, term by term, and wrapped once.
 """
 
 from __future__ import annotations
@@ -85,17 +89,26 @@ def monomial_text(m: Monomial) -> str:
     return "*".join(factor_text(sym, ell) for sym, ell in m)
 
 
-def _accum(acc: Dict[Monomial, object], m: Monomial, coeff) -> None:
-    cur = acc.get(m)
+def accumulate(acc: Dict, key, coeff) -> None:
+    """Add coeff into the sparse term map acc at key, in place; the one
+    place where a coefficient is added into a term map.
+
+    Truthiness is the zero test: a zero coeff is not stored, and a sum that
+    cancels deletes its key.  Insertion order is kept, so a key that cancels
+    and comes back goes to the end, exactly as `a + b` places it.  The
+    exact scalar work (pgcd and rational-function multiply counts) depends
+    on the order in which terms are added, so sums are built in place
+    through this function in their original order."""
+    cur = acc.get(key)
     if cur is None:
         if coeff:
-            acc[m] = coeff
+            acc[key] = coeff
     else:
         new = cur + coeff
         if new:
-            acc[m] = new
+            acc[key] = new
         else:
-            del acc[m]
+            del acc[key]
 
 
 class DiffPolynomial:
@@ -139,14 +152,11 @@ class DiffPolynomial:
     def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
         acc = dict(self.terms)
         for m, coeff in other.terms.items():
-            _accum(acc, m, coeff)
+            accumulate(acc, m, coeff)
         return DiffPolynomial(acc)
 
     def __sub__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        acc = dict(self.terms)
-        for m, coeff in other.terms.items():
-            _accum(acc, m, -coeff)
-        return DiffPolynomial(acc)
+        return self + (-other)
 
     def __neg__(self) -> "DiffPolynomial":
         return DiffPolynomial({m: -coeff for m, coeff in self.terms.items()})
@@ -155,18 +165,13 @@ class DiffPolynomial:
         acc: Dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                _accum(acc, _sort_mono(m1 + m2), c1 * c2)
+                accumulate(acc, _sort_mono(m1 + m2), c1 * c2)
         return DiffPolynomial(acc)
 
     def scale(self, scalar) -> "DiffPolynomial":
         if not scalar:
             return DiffPolynomial.zero()
-        acc = {}
-        for m, coeff in self.terms.items():
-            new = coeff * scalar
-            if new:
-                acc[m] = new
-        return DiffPolynomial(acc)
+        return self.map_coeffs(lambda coeff: coeff * scalar)
 
     def mul_monomial(self, extra: Monomial) -> "DiffPolynomial":
         return DiffPolynomial({_sort_mono(m + extra): c for m, c in self.terms.items()})
@@ -188,7 +193,7 @@ class DiffPolynomial:
             for m, coeff in out.terms.items():
                 for i, (sym, ell) in enumerate(m):
                     bumped = _sort_mono(m[:i] + ((sym, ell + 1),) + m[i + 1:])
-                    _accum(acc, bumped, coeff)
+                    accumulate(acc, bumped, coeff)
             out = DiffPolynomial(acc)
         return out
 
@@ -219,10 +224,10 @@ class DiffPolynomial:
             guess = _sort_mono(m[:top_i] + ((sym, ell - 1),) + m[top_i + 1:])
             mult = sum(1 for f in guess if f == (sym, ell - 1))
             piece = coeff * Fraction(1, mult)
-            _accum(anti, guess, piece)
+            accumulate(anti, guess, piece)
             for i, (gs, gell) in enumerate(guess):
                 bumped = _sort_mono(guess[:i] + ((gs, gell + 1),) + guess[i + 1:])
-                _accum(remaining, bumped, -piece)
+                accumulate(remaining, bumped, -piece)
         result = DiffPolynomial(anti)
         if result.d_x() != self:
             raise NonLocalError("antiderivative reconstruction failed")
@@ -242,7 +247,7 @@ class DiffPolynomial:
                 mult = sum(1 for f in m if f == (sym, ell))
                 rest = list(m)
                 rest.remove((sym, ell))
-                _accum(
+                accumulate(
                     buckets.setdefault(ell, {}),
                     _sort_mono(tuple(rest)),
                     coeff * Fraction(mult),
@@ -264,7 +269,7 @@ class DiffPolynomial:
                     out.append((FieldSymbol("vphi", sym.index, sym.times), ell - 1))
                 else:
                     out.append((sym, ell))
-            _accum(acc, _sort_mono(tuple(out)), coeff)
+            accumulate(acc, _sort_mono(tuple(out)), coeff)
         return DiffPolynomial(acc)
 
     # --- inspection ---------------------------------------------------------
@@ -320,10 +325,11 @@ class LinearDiffOperator:
     coeffs: Dict[int, DiffPolynomial]
 
     def apply(self, target: DiffPolynomial) -> DiffPolynomial:
-        out = DiffPolynomial.zero()
+        acc: Dict[Monomial, object] = {}
         for k, poly in sorted(self.coeffs.items()):
-            out = out + poly * target.d_x(k)
-        return out
+            for m, coeff in (poly * target.d_x(k)).terms.items():
+                accumulate(acc, m, coeff)
+        return DiffPolynomial(acc)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.coeffs.values())
@@ -359,7 +365,7 @@ def time_derivative(
     MissingEvolutionError (strict=True).  The fast-phase marker tau and
     direction fields are slow-time constants.
     """
-    out = DiffPolynomial.zero()
+    acc: Dict[Monomial, object] = {}
     for mon, coeff in poly.terms.items():
         for i, (sym, ell) in enumerate(mon):
             if sym.kind in ("tau", "psi", "rho"):
@@ -367,11 +373,11 @@ def time_derivative(
             rest = mon[:i] + mon[i + 1:]
             derived = _derive_leaf(sym, ell, m, rules, strict)
             if derived is None:
-                tagged = ((sym.tagged(m), ell),)
-                out = out + DiffPolynomial({_sort_mono(rest + tagged): coeff})
-            else:
-                out = out + derived.mul_monomial(rest).scale(coeff)
-    return out
+                accumulate(acc, _sort_mono(rest + ((sym.tagged(m), ell),)), coeff)
+                continue
+            for term, c in derived.mul_monomial(rest).scale(coeff).terms.items():
+                accumulate(acc, term, c)
+    return DiffPolynomial(acc)
 
 
 def _derive_leaf(
@@ -381,7 +387,7 @@ def _derive_leaf(
     rule = rules.get(sym, m)
     if rule is None:
         if strict:
-            raise MissingEvolutionError(f"no rule for d_t{m} {sym.name()}")
+            raise MissingEvolutionError(f"no rule for d_t{m} {sym.base().name()}")
         return None
     value = rule
     for pending in sorted(sym.times, reverse=True):
@@ -393,35 +399,32 @@ def substitute_slow_times(
     poly: DiffPolynomial, rules: EvolutionRules, strict: bool = True
 ) -> DiffPolynomial:
     """Resolve every tagged leaf through the available evolution rules."""
-    out = DiffPolynomial.zero()
+    acc: Dict[Monomial, object] = {}
     for mon, coeff in poly.terms.items():
         piece = DiffPolynomial.constant(rules.one).scale(coeff)
         for sym, ell in mon:
             piece = piece * _resolve_leaf(sym, ell, rules, strict)
             if piece.is_zero():
                 break
-        out = out + piece
-    return out
+        for m, c in piece.terms.items():
+            accumulate(acc, m, c)
+    return DiffPolynomial(acc)
 
 
 def _resolve_leaf(
     sym: FieldSymbol, ell: int, rules: EvolutionRules, strict: bool
 ) -> DiffPolynomial:
+    """d_x^ell of a tagged leaf: its latest slow time through _derive_leaf
+    on the leaf without that tag, then whatever tags the result carries."""
     if not sym.times:
         return rules.leaf(sym, ell)
-    pending = max(sym.times)
-    remaining = list(sym.times)
-    remaining.remove(pending)
+    remaining = sorted(sym.times)
+    pending = remaining.pop()
     inner = FieldSymbol(sym.kind, sym.index, tuple(remaining))
-    rule = rules.get(sym, pending)
-    if rule is None:
-        if strict:
-            raise MissingEvolutionError(f"no rule for d_t{pending} {sym.base().name()}")
+    value = _derive_leaf(inner, ell, pending, rules, strict)
+    if value is None:
         return rules.leaf(sym, ell)
-    value = rule
-    for t in sorted(inner.times, reverse=True):
-        value = time_derivative(value, t, rules, strict)
-    return substitute_slow_times(value.d_x(ell), rules, strict)
+    return substitute_slow_times(value, rules, strict)
 
 
 def substitute_field(
@@ -434,9 +437,9 @@ def substitute_field(
 ) -> DiffPolynomial:
     """Replace every occurrence of the field (any derivative order, any
     pending tags) by the corresponding derivative of `value`.  Pending
-    slow-time tags are pushed through `rules` when given, else re-tagged
-    onto the substituted expression's fields."""
-    out = DiffPolynomial.zero()
+    slow-time tags are pushed through `rules`; without rules a tagged
+    occurrence raises MissingEvolutionError."""
+    acc: Dict[Monomial, object] = {}
     for mon, coeff in poly.terms.items():
         pieces = [DiffPolynomial({(): coeff})]
         plain: List[Factor] = []
@@ -455,8 +458,9 @@ def substitute_field(
         term = pieces[0]
         for p in pieces[1:]:
             term = term * p
-        out = out + term.mul_monomial(tuple(plain))
-    return out
+        for m, c in term.mul_monomial(tuple(plain)).terms.items():
+            accumulate(acc, m, c)
+    return DiffPolynomial(acc)
 
 
 # --- graded bases -------------------------------------------------------------

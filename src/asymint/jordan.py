@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, InsufficientSamples
 
@@ -107,13 +107,11 @@ def _difference(samples: Sequence, base: int, order: int, stride: int):
     return total
 
 
-def verify_on_sequence(
-    exp: JordanExpansion, samples: Sequence[Rational], step: Rational = 1
-):
-    """Largest gap between the coarse difference and its fine expansion over
-    every base point the sample window supports.  samples holds f on a grid
-    of the given spacing (in fine-increment units), so both grids must land
-    on it."""
+def sample_window(exp: JordanExpansion, step: Rational = 1) -> Tuple[int, int, int]:
+    """Fine and coarse increments in grid points, and the span of grid
+    points one base point's comparison covers, for samples on a grid of the
+    given spacing (in fine-increment units); both increments must land on
+    the grid.  With no fine coefficients the span is the coarse one."""
     step = Fraction(step)
     if step <= 0:
         raise DomainError(f"the grid spacing must be positive, got {step}")
@@ -124,8 +122,16 @@ def verify_on_sequence(
             f"grid spacing {step} does not carry both increments (1 and {exp.omega})"
         )
     fine, coarse = int(fine), int(coarse)
-    max_i = max(exp.coefficients) if exp.coefficients else exp.target_order
-    span = max(exp.target_order * coarse, max_i * fine)
+    max_i = max(exp.coefficients, default=exp.target_order)
+    return fine, coarse, max(exp.target_order * coarse, max_i * fine)
+
+
+def verify_on_sequence(
+    exp: JordanExpansion, samples: Sequence[Rational], step: Rational = 1
+):
+    """Largest gap between the coarse difference and its fine expansion over
+    every base point the sample window supports (see sample_window)."""
+    fine, coarse, span = sample_window(exp, step)
     if len(samples) < span + 1:
         raise InsufficientSamples(
             f"need at least {span + 1} samples, got {len(samples)}"

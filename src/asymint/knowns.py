@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
 
+from .diffpoly import accumulate
 from .errors import InconsistentSystemError
 from .field import CoeffElement, CoeffField
 
@@ -94,12 +95,7 @@ class KnownPoly:
             return NotImplemented
         acc = dict(self.terms)
         for key, coeff in o.terms.items():
-            cur = acc.get(key)
-            new = coeff if cur is None else cur + coeff
-            if new:
-                acc[key] = new
-            elif cur is not None:
-                del acc[key]
+            accumulate(acc, key, coeff)
         return KnownPoly(self.field, acc)
 
     __radd__ = __add__
@@ -126,14 +122,7 @@ class KnownPoly:
         acc: Dict[PowKey, CoeffElement] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in o.terms.items():
-                key = _mul_keys(k1, k2)
-                prod = c1 * c2
-                cur = acc.get(key)
-                new = prod if cur is None else cur + prod
-                if new:
-                    acc[key] = new
-                elif cur is not None:
-                    del acc[key]
+                accumulate(acc, _mul_keys(k1, k2), c1 * c2)
         return KnownPoly(self.field, acc)
 
     __rmul__ = __mul__
@@ -161,7 +150,7 @@ class KnownPoly:
     # --- substitution / evaluation ------------------------------------------------
 
     def substitute(self, mapping: Mapping[str, "KnownPoly"]) -> "KnownPoly":
-        out = KnownPoly(self.field)
+        acc: Dict[PowKey, CoeffElement] = {}
         for key, coeff in self.terms.items():
             term = KnownPoly.constant(self.field, coeff)
             for name, power in key:
@@ -170,8 +159,9 @@ class KnownPoly:
                     base = KnownPoly.symbol(self.field, name)
                 for _ in range(power):
                     term = term * base
-            out = out + term
-        return out
+            for k, c in term.terms.items():
+                accumulate(acc, k, c)
+        return KnownPoly(self.field, acc)
 
     def evaluate(self, values: Mapping[str, CoeffElement]) -> CoeffElement:
         total = self.field.zero
@@ -188,23 +178,24 @@ class KnownPoly:
         """Decompose as sum_i coeff_i * name_i + rest, requiring degree <= 1
         in the given names; coefficients and rest are free of them."""
         names = set(names)
-        linear: Dict[str, KnownPoly] = {}
-        rest = KnownPoly(self.field)
+        linear: Dict[str, Dict[PowKey, CoeffElement]] = {}
+        rest: Dict[PowKey, CoeffElement] = {}
         for key, coeff in self.terms.items():
             present = [(n, p) for n, p in key if n in names]
             if not present:
-                rest = rest + KnownPoly(self.field, {key: coeff})
+                accumulate(rest, key, coeff)
             elif len(present) == 1 and present[0][1] == 1:
                 name = present[0][0]
                 reduced = tuple((n, p) for n, p in key if n != name)
-                linear[name] = linear.get(name, KnownPoly(self.field)) + KnownPoly(
-                    self.field, {reduced: coeff}
-                )
+                accumulate(linear.setdefault(name, {}), reduced, coeff)
             else:
                 raise InconsistentSystemError(
                     f"term {self._term_text(key, coeff)} is nonlinear in {sorted(names)}"
                 )
-        return linear, rest
+        return (
+            {name: KnownPoly(self.field, terms) for name, terms in linear.items()},
+            KnownPoly(self.field, rest),
+        )
 
     # --- display --------------------------------------------------------------------
 

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diffpoly import DiffPolynomial
+from .diffpoly import DiffPolynomial, accumulate
 from .errors import DomainError, StabilityError
 from .field import CoeffElement, CoeffField, ModelParams
 from .reduction import ReductionReport, run_reduction
@@ -99,17 +99,10 @@ class SechPoly:
     def basis(cls, field: CoeffField, a: int, b: int) -> "SechPoly":
         return cls(field, {(a, b): field.one})
 
-    def _put(self, acc, key, value) -> None:
-        new = acc.get(key, self.field.zero) + value
-        if new.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = new
-
     def __add__(self, other: "SechPoly") -> "SechPoly":
         acc = dict(self.terms)
         for key, value in other.terms.items():
-            self._put(acc, key, value)
+            accumulate(acc, key, value)
         return SechPoly(self.field, acc)
 
     def __mul__(self, other: "SechPoly") -> "SechPoly":
@@ -119,10 +112,10 @@ class SechPoly:
                 v = v1 * v2
                 a, b = a1 + a2, b1 + b2
                 if b == 2:  # T^2 = 1 - S
-                    self._put(acc, (a, 0), v)
-                    self._put(acc, (a + 1, 0), -v)
+                    accumulate(acc, (a, 0), v)
+                    accumulate(acc, (a + 1, 0), -v)
                 else:
-                    self._put(acc, (a, b), v)
+                    accumulate(acc, (a, b), v)
         return SechPoly(self.field, acc)
 
     def scale(self, value: CoeffElement) -> "SechPoly":

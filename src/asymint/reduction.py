@@ -32,6 +32,7 @@ from .diffpoly import (
     DiffPolynomial,
     EvolutionRules,
     FieldSymbol,
+    accumulate,
     mono,
     monomial_text,
     substitute_field,
@@ -81,12 +82,7 @@ class EpsSeries:
     def __add__(self, other: "EpsSeries") -> "EpsSeries":
         out = dict(self.orders)
         for k, poly in other.orders.items():
-            cur = out.get(k)
-            new = poly if cur is None else cur + poly
-            if new.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = new
+            accumulate(out, k, poly)
         return EpsSeries(self.limit, out)
 
     def __sub__(self, other: "EpsSeries") -> "EpsSeries":
@@ -96,13 +92,8 @@ class EpsSeries:
         acc: Dict[int, DiffPolynomial] = {}
         for i, p in self.orders.items():
             for j, q in other.orders.items():
-                if i + j > self.limit:
-                    continue
-                prod = p * q
-                if prod.is_zero():
-                    continue
-                cur = acc.get(i + j)
-                acc[i + j] = prod if cur is None else cur + prod
+                if i + j <= self.limit:
+                    accumulate(acc, i + j, p * q)
         return EpsSeries(self.limit, acc)
 
     def scale_all(self, scalar) -> "EpsSeries":
@@ -218,43 +209,24 @@ def lattice_residual_series(
     inv_h2 = (field.h * field.h).inv()
     one = field.one
 
-    phi = EpsSeries(limit, {0: DiffPolynomial.leaf(_TAU, 0, -sigma)})
-    nu = EpsSeries(limit, {0: DiffPolynomial.constant(one)})
-    for j in range(1, limit // 2 + 2):
-        if 2 * j - 1 <= limit:
-            phi = phi + EpsSeries(
-                limit, {2 * j - 1: DiffPolynomial.leaf(FieldSymbol("phi", j), 0, one)}
-            )
-        if 2 * j <= limit:
-            nu = nu + EpsSeries(
-                limit, {2 * j: DiffPolynomial.leaf(FieldSymbol("nu", j), 0, one)}
-            )
+    def put(orders: Dict[int, DiffPolynomial], k: int, sym: FieldSymbol, ell: int, coeff):
+        if k <= limit:
+            accumulate(orders, k, DiffPolynomial.leaf(sym, ell, coeff))
 
+    phi = {0: DiffPolynomial.leaf(_TAU, 0, -sigma)}
+    nu = {0: DiffPolynomial.constant(one)}
     # d/dt through the slow variables: -c eps d_x + sum_m eps^(2m-1) d_(t_m)
-    dphi_dt = EpsSeries(limit, {0: DiffPolynomial.constant(-sigma)})
-    dnu_dt = EpsSeries(limit)
+    dphi_dt = {0: DiffPolynomial.constant(-sigma)}
+    dnu_dt: Dict[int, DiffPolynomial] = {}
     for j in range(1, limit // 2 + 2):
-        if 2 * j <= limit:
-            dphi_dt = dphi_dt + EpsSeries(
-                limit, {2 * j: DiffPolynomial.leaf(FieldSymbol("phi", j), 1, -field.c)}
-            )
-        if 2 * j + 1 <= limit:
-            dnu_dt = dnu_dt + EpsSeries(
-                limit, {2 * j + 1: DiffPolynomial.leaf(FieldSymbol("nu", j), 1, -field.c)}
-            )
+        put(phi, 2 * j - 1, FieldSymbol("phi", j), 0, one)
+        put(nu, 2 * j, FieldSymbol("nu", j), 0, one)
+        put(dphi_dt, 2 * j, FieldSymbol("phi", j), 1, -field.c)
+        put(dnu_dt, 2 * j + 1, FieldSymbol("nu", j), 1, -field.c)
         for m in range(2, limit):
-            kp = 2 * j - 1 + 2 * m - 1
-            kn = 2 * j + 2 * m - 1
-            if kp <= limit:
-                dphi_dt = dphi_dt + EpsSeries(
-                    limit,
-                    {kp: DiffPolynomial.leaf(FieldSymbol("phi", j, (m,)), 0, one)},
-                )
-            if kn <= limit:
-                dnu_dt = dnu_dt + EpsSeries(
-                    limit,
-                    {kn: DiffPolynomial.leaf(FieldSymbol("nu", j, (m,)), 0, one)},
-                )
+            put(dphi_dt, 2 * j - 1 + 2 * m - 1, FieldSymbol("phi", j, (m,)), 0, one)
+            put(dnu_dt, 2 * j + 2 * m - 1, FieldSymbol("nu", j, (m,)), 0, one)
+    phi, nu, dphi_dt, dnu_dt = (EpsSeries(limit, o) for o in (phi, nu, dphi_dt, dnu_dt))
 
     nu_up = expand_shifts(nu, +1, zeta)
     nu_dn = expand_shifts(nu, -1, zeta)
@@ -649,10 +621,11 @@ def derive_dispersion(s: int) -> DispersionData:
 def run_reduction(params: ModelParams, order: int = 9) -> ReductionReport:
     """Resolve the expansion through eps^order and report every extracted
     object.  Order ten only adds the amplitude correction nu^(5), which no
-    check verifies; above ten the run stops with ValueError at eps^11, the
-    first order without a solver stage."""
-    if order < 3:
-        raise ValueError("the reduction needs at least the dispersion order")
+    check verifies; an order outside 3..10 (below the dispersion order, or
+    from eps^11 on, where no solver stage exists) raises ValueError before
+    any expansion work."""
+    if not 3 <= order <= 10:
+        raise ValueError(f"the reduction runs through eps^3 to eps^10, got order {order}")
     dispersion = derive_dispersion(params.s)
     if params.sigma != dispersion.sigma:
         raise DomainError(
@@ -674,10 +647,7 @@ def run_reduction(params: ModelParams, order: int = 9) -> ReductionReport:
             if k == 8:
                 run.prepare_t3_correction()
         else:
-            stage = stages.get(k)
-            if stage is None:
-                raise ValueError(f"no solver stage for eps^{k}")
-            stage()
+            stages[k]()
     return ReductionReport(
         s=params.s,
         order=order,

@@ -79,6 +79,14 @@ def test_jordan_doubling_row_and_polynomial_verification(capsys):
     assert payload["verify"]["step"] == "1/2"
     assert payload["verify"]["residual"] == "0"
 
+    # truncated below j: no fine coefficients, the window is the coarse span
+    code, out = run(capsys, "jordan", "--j", "3", "--omega", "2", "--max-i", "6",
+                    "--p", "2", "--verify", "poly:2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["coefficients"] == {}
+    assert payload["verify"]["residual"] == "0"
+
     code, _ = run(capsys, "jordan", "--j", "1", "--omega", "2", "--max-i", "4",
                   "--verify", "exp:3")
     assert code == 1

@@ -10,6 +10,7 @@ nothing: same labels, same rational coefficients.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asymint.compatibility import (
     build_problem,
@@ -18,6 +19,7 @@ from asymint.compatibility import (
     rref,
     strip_content,
 )
+from asymint.errors import InconsistentSystemError
 from asymint.field import CoeffField
 from asymint.knowns import KnownPoly
 
@@ -186,6 +188,51 @@ def test_pivots_skip_zero_divisors():
     assert len(rows) == 2
     assert (rows[0] - (a1 + x2)).is_zero()
     assert (rows[1] + zero_divisor * x2).is_zero()
+
+
+S0 = CoeffField(0)
+UNKNOWNS = ["x1", "x2"]
+
+
+def zero_divisor_systems():
+    """Linear systems in x1, x2 over the s = 0 ring, whose coefficients
+    include the zero divisors 1 + c and 1 - c (c^2 = 1), a few known
+    symbols, and unknown coefficients that are not constant (a1 * x1)."""
+    f = S0
+    scalars = st.sampled_from(
+        [f.coerce(v) for v in (1, -1, 2, Fraction(1, 2))]
+        + [f.c, f.h, f.one + f.c, f.one - f.c, -(f.one + f.c), 2 * (f.one - f.c)]
+    )
+    term = st.tuples(
+        scalars,
+        st.sampled_from(2 * UNKNOWNS + ["a1", "a2", None]),
+        st.sampled_from([None, None, None, "a1"]),
+    )
+
+    def build(terms):
+        acc = KnownPoly(f)
+        for coeff, name, extra in terms:
+            t = KnownPoly.constant(f, coeff)
+            for n in (name, extra):
+                if n is not None:
+                    t = t * KnownPoly.symbol(f, n)
+            acc = acc + t
+        return acc
+
+    return st.lists(st.lists(term, min_size=2, max_size=5).map(build), min_size=2, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_divisor_systems())
+def test_elimination_in_the_zero_divisor_ring(equations):
+    try:
+        solved, leftovers = eliminate_unknowns(equations, UNKNOWNS, S0)
+    except InconsistentSystemError:
+        return
+    assert set(solved) == set(UNKNOWNS)
+    for eq in equations:
+        left = eq.substitute(solved)
+        assert left.is_zero() or left in leftovers
 
 
 def test_verdicts_survive_branch_flip(commutation):

@@ -14,6 +14,7 @@ from asymint.diffpoly import DiffPolynomial, FieldSymbol, mono
 from asymint.errors import DomainError, SecularResidueError
 from asymint.field import CoeffField, ModelParams
 from asymint.hierarchy import FlowHierarchy
+from asymint import reduction
 from asymint.labels import T2_THIRD, T2_THIRD_KDV
 from asymint.reduction import _Run, derive_dispersion, run_reduction
 
@@ -164,9 +165,14 @@ def test_low_order_report_is_a_prefix(engine):
     assert rep.forcings == {}
 
 
-def test_unknown_order_is_rejected():
-    with pytest.raises(ValueError):
-        run_reduction(ModelParams(s=1), order=11)
+def test_unknown_order_is_rejected(monkeypatch):
+    def expand(*args):
+        raise AssertionError("the order bound is checked after expanding the lattice")
+
+    monkeypatch.setattr(reduction, "lattice_residual_series", expand)
+    for order in (2, 11, 40):
+        with pytest.raises(ValueError, match=f"got order {order}"):
+            run_reduction(ModelParams(s=1), order=order)
 
 
 def test_reduction_is_deterministic(engine):
