@@ -48,10 +48,6 @@ def pneg(a: Poly) -> Poly:
     return tuple(-c for c in a)
 
 
-def psub(a: Poly, b: Poly) -> Poly:
-    return padd(a, pneg(b))
-
-
 def pscale(a: Poly, k: int) -> Poly:
     if k == 0:
         return ZERO

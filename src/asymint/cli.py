@@ -3,7 +3,8 @@
 Every artifact is deterministic: identical configuration produces
 byte-identical JSON/CSV output, so reports can be diffed and cached.
 Timing goes to stderr only.  Exit codes: 0 on success, 2 when a
-commutation verdict is FAIL, 1 on usage errors.
+commutation verdict is FAIL, 1 on usage errors, out-of-domain input or
+an unwritable output path, with one error line on stderr.
 """
 
 from __future__ import annotations
@@ -160,11 +161,11 @@ def _stopwatch(label: str, start: float) -> None:
 
 def _emit(key_parts: List[str], payload: Callable[[], dict], out: Optional[str]) -> str:
     """Build (or reuse) the JSON artifact of the command named by the first
-    key part, time it on stderr, write it, and return its text."""
+    key part, write it, time both on stderr, and return its text."""
     start = time.monotonic()
     text = _cached(key_parts, lambda: _json_text(payload()))
-    _stopwatch(key_parts[0], start)
     _write(text, out)
+    _stopwatch(key_parts[0], start)
     return text
 
 
@@ -173,7 +174,7 @@ def _emit(key_parts: List[str], payload: Callable[[], dict], out: Optional[str])
 
 def _cmd_dims(args) -> int:
     space = enumerate_basis(args.degree, args.grading, args.max_field)
-    lines = [str(space.dim)] + [monomial_text(m) for m in space.monomials]
+    lines = [str(len(space))] + [monomial_text(m) for m in space]
     _write("\n".join(lines) + "\n", None)
     return 0
 
@@ -292,7 +293,6 @@ def _cmd_jordan(args) -> int:
 def _cmd_validate(args) -> int:
     start = time.monotonic()
     result = error_scaling(args.s, args.h, args.eps, T=args.T, dt=args.dt)
-    _stopwatch("validate", start)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["eps", "sup_error", "norm_drift", "slope"])
@@ -305,6 +305,7 @@ def _cmd_validate(args) -> int:
             f"{result.slope:.6f}" if last else "",
         ])
     _write(buffer.getvalue(), args.out)
+    _stopwatch("validate", start)
     return 0
 
 
@@ -363,10 +364,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except AsymintError as exc:
-        sys.stderr.write(f"asymint {args.command}: error: {exc}\n")
-        return 1
-    except ValueError as exc:
+    except (AsymintError, ValueError, OSError) as exc:
         sys.stderr.write(f"asymint {args.command}: error: {exc}\n")
         return 1
 

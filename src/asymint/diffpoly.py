@@ -24,8 +24,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import GradingError, MissingEvolutionError, NonLocalError
 
-_GRADABLE = {"phi", "vphi"}
-
 
 @dataclass(frozen=True, order=True)
 class FieldSymbol:
@@ -233,10 +231,10 @@ class DiffPolynomial:
             raise NonLocalError("antiderivative reconstruction failed")
         return result
 
-    def frechet(self, kind: str, index: int, times: Tuple[int, ...] = ()) -> "LinearDiffOperator":
+    def frechet(self, kind: str, index: int) -> "LinearDiffOperator":
         """Linearization with respect to the given field: the operator
         sum_k (dP / d(d^k X)) d_x^k acting on a direction."""
-        target = FieldSymbol(kind, index, times)
+        target = FieldSymbol(kind, index)
         buckets: Dict[int, Dict[Monomial, object]] = {}
         for m, coeff in self.terms.items():
             seen = set()
@@ -287,13 +285,6 @@ class DiffPolynomial:
             (sym.index for m in self.terms for sym, _ in m if sym.kind == kind),
             default=0,
         )
-
-    def degree_in(self, kind: str, index: int) -> int:
-        """Largest multiplicity of the field (any derivative order) in a term."""
-        best = 0
-        for m in self.terms:
-            best = max(best, sum(1 for sym, _ in m if sym.kind == kind and sym.index == index))
-        return best
 
     def part_of_degree(self, kind: str, index: int, degree: int) -> "DiffPolynomial":
         acc = {}
@@ -466,37 +457,10 @@ def substitute_field(
 # --- graded bases -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedSpaceBasis:
-    """Ordered monomial basis of P_n^(r) for one grading variant."""
-
-    weight: int
-    grading: str
-    max_index: int
-    min_factors: int
-    monomials: Tuple[Monomial, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.monomials)
-
-    def extract_coefficients(self, poly: DiffPolynomial) -> List[object]:
-        """Coefficient list in basis order; GradingError on monomials
-        outside the basis (secular or mis-graded content)."""
-        lookup = {m: i for i, m in enumerate(self.monomials)}
-        out: List[object] = [None] * len(self.monomials)
-        for m, coeff in poly.terms.items():
-            if m not in lookup:
-                raise GradingError(f"monomial {monomial_text(m)} outside the graded basis")
-            out[lookup[m]] = coeff
-        return out
-
-
-def enumerate_basis(
-    weight: int, grading: str, max_index: int, min_factors: int = 2
-) -> GradedSpaceBasis:
-    """All monomials of the given graded weight with every field index <= r
-    and at least `min_factors` factors, in canonical order."""
+def enumerate_basis(weight: int, grading: str, max_index: int) -> Tuple[Monomial, ...]:
+    """The ordered monomial basis of P_n^(r): every monomial of graded weight
+    n with every field index <= r and at least two factors (a single factor
+    is the secular term, not a forcing), in canonical order."""
     factors: List[Tuple[Factor, int]] = []
     for j in range(1, max_index + 1):
         ell_min = 1 if grading == "potential" else 0
@@ -513,7 +477,7 @@ def enumerate_basis(
 
     def rec(start: int, remaining: int, chosen: List[Factor]) -> None:
         if remaining == 0:
-            if len(chosen) >= min_factors:
+            if len(chosen) >= 2:
                 found.append(tuple(chosen))
             return
         for i in range(start, len(factors)):
@@ -524,4 +488,4 @@ def enumerate_basis(
                 chosen.pop()
 
     rec(0, weight, [])
-    return GradedSpaceBasis(weight, grading, max_index, min_factors, tuple(sorted(found)))
+    return tuple(sorted(found))

@@ -127,26 +127,6 @@ class KnownPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "KnownPoly":
-        """Division by an invertible constant (scalar or constant KnownPoly)."""
-        if isinstance(other, KnownPoly):
-            if not other.is_constant():
-                raise InconsistentSystemError(
-                    f"division by non-constant known polynomial {other.text()}"
-                )
-            other = other.constant_value()
-        return self * self.field.coerce(other).inv()
-
-    def total_degree(self) -> int:
-        return max((sum(p for _, p in key) for key in self.terms), default=0)
-
-    def degree_in(self, names: Union[str, Iterable[str]]) -> int:
-        names = {names} if isinstance(names, str) else set(names)
-        return max(
-            (sum(p for n, p in key if n in names) for key in self.terms),
-            default=0,
-        )
-
     # --- substitution / evaluation ------------------------------------------------
 
     def substitute(self, mapping: Mapping[str, "KnownPoly"]) -> "KnownPoly":

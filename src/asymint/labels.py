@@ -30,9 +30,7 @@ class LabeledBasis:
 
     def __post_init__(self):
         space = enumerate_basis(self.weight, self.grading, self.max_index)
-        if set(m for _, m in self.pairs) != set(space.monomials) or len(
-            self.pairs
-        ) != space.dim:
+        if set(m for _, m in self.pairs) != set(space) or len(self.pairs) != len(space):
             raise GradingError(
                 f"label table {self.prefix} does not enumerate the graded space"
             )
@@ -140,5 +138,5 @@ NINTH_ORDER = {"potential": ("phi", T2_THIRD, "h_t2"), "kdv": ("vphi", T2_THIRD_
 def generic_basis(prefix: str, weight: int, grading: str, max_index: int) -> LabeledBasis:
     """Enumeration-ordered labels for spaces without a frozen display order."""
     space = enumerate_basis(weight, grading, max_index)
-    pairs = tuple((f"{prefix}{i + 1}", m) for i, m in enumerate(space.monomials))
+    pairs = tuple((f"{prefix}{i + 1}", m) for i, m in enumerate(space))
     return LabeledBasis(prefix, weight, grading, max_index, pairs)

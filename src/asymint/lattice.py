@@ -175,14 +175,22 @@ def profile_jets(field: CoeffField, width: Fraction, max_ell: int) -> Dict[int, 
     return jets
 
 
+def _soliton_parts(
+    flow2: DiffPolynomial, field: CoeffField, width: Fraction
+) -> Tuple[SechPoly, SechPoly]:
+    """The linear and the quadratic part of the second flow on the
+    unit-amplitude sech^2 profile of the given width."""
+    jets = profile_jets(field, width, max(ell for m in flow2.terms for _, ell in m))
+    linear = _substitute_flow(flow2.part_of_degree("phi", 1, 1), jets, field)
+    quadratic = _substitute_flow(flow2.part_of_degree("phi", 1, 2), jets, field)
+    return linear, quadratic
+
+
 def solve_soliton(flow2: DiffPolynomial, field: CoeffField, width: Fraction) -> SolitonData:
     """Amplitude and speed of the sech^2 traveling wave of the second flow,
     from the flow itself: the quadratic-in-amplitude sech^4 balance fixes the
     amplitude, the sech^2 balance then fixes the speed."""
-    max_ell = max(ell for m in flow2.terms for _, ell in m)
-    jets = profile_jets(field, width, max_ell)
-    linear = _substitute_flow(flow2.part_of_degree("phi", 1, 1), jets, field)
-    quadratic = _substitute_flow(flow2.part_of_degree("phi", 1, 2), jets, field)
+    linear, quadratic = _soliton_parts(flow2, field, width)
     if not (linear.get(0, 1).is_zero() and quadratic.get(0, 1).is_zero()):
         raise DomainError("the second flow is not even in the profile")
     amplitude = -(linear.get(2, 0) * quadratic.get(2, 0).inv())
@@ -193,9 +201,7 @@ def solve_soliton(flow2: DiffPolynomial, field: CoeffField, width: Fraction) -> 
 def soliton_residual(flow2: DiffPolynomial, field: CoeffField, data: SolitonData) -> SechPoly:
     """The traveling-wave equation evaluated at the solved data; zero when
     the solve closed the ansatz exactly."""
-    jets = profile_jets(field, data.width, max(ell for m in flow2.terms for _, ell in m))
-    linear = _substitute_flow(flow2.part_of_degree("phi", 1, 1), jets, field)
-    quadratic = _substitute_flow(flow2.part_of_degree("phi", 1, 2), jets, field)
+    linear, quadratic = _soliton_parts(flow2, field, data.width)
     total = linear.scale(data.amplitude) + quadratic.scale(data.amplitude * data.amplitude)
     drive = SechPoly(field, {(1, 0): data.speed * data.amplitude})
     return total + drive
@@ -206,17 +212,6 @@ def soliton_residual(flow2: DiffPolynomial, field: CoeffField, data: SolitonData
 
 # sech^2 width of the traveling profile in the slow variable
 WIDTH = Fraction(1)
-
-
-@dataclass(frozen=True)
-class MultiscaleProfile:
-    """Parameters of the constructed approximate solution."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not (0 <= self.epsilon <= 0.3):
-            raise DomainError("epsilon must lie in [0, 0.3]")
 
 
 class ProfileBuilder:
@@ -230,38 +225,33 @@ class ProfileBuilder:
     potential, both consequences of the same quadratic flow.
     """
 
-    def __init__(self, report: ReductionReport, profile: MultiscaleProfile, window: int):
+    def __init__(self, report: ReductionReport, epsilon: float, window: int):
+        if not 0 <= epsilon <= 0.3:
+            raise DomainError("epsilon must lie in [0, 0.3]")
         if window < 4:
             raise DomainError("window too small")
         self.report = report
-        self.profile = profile
+        self.epsilon = epsilon
         self.window = window
-        self.s = report.s
-
-    def _floats(self, h: float):
-        rep, prof = self.report, self.profile
-        data = solve_soliton(rep.flows["K2"], rep.field, WIDTH)
-        alpha2 = rep.alphas[2]
-        eps = prof.epsilon
-        length = self.window * eps * h
-        A = data.amplitude.eval_float(h)
-        B = float(WIDTH)
-        v = data.speed.eval_float(h)
-        a2 = alpha2.eval_float(h)
-        u_inf = -2.0 * (A / B) / length
-        v_hat = v - 2.0 * a2 * u_inf
-        drift = a2 * u_inf**2
-        c = math.sqrt(1.0 - self.s * h * h)
-        return eps, length, A, B, v, a2, u_inf, v_hat, drift, c
 
     def state(self, h: float, t: float) -> LatticeState:
         """The multiscale field at lattice time t: profile advanced by the
         second flow in its slow time, carried along the frame, on top of the
         constant orbit."""
-        if self.profile.epsilon == 0:
+        eps, rep = self.epsilon, self.report
+        if eps == 0:
             values = np.full(self.window, np.exp(-1j * t), dtype=complex)
             return LatticeState(values, h, t)
-        eps, length, A, B, _, _, u_inf, v_hat, drift, c = self._floats(h)
+        data = solve_soliton(rep.flows["K2"], rep.field, WIDTH)
+        length = self.window * eps * h
+        A = data.amplitude.eval_float(h)
+        B = float(WIDTH)
+        v = data.speed.eval_float(h)
+        a2 = rep.alphas[2].eval_float(h)
+        u_inf = -2.0 * (A / B) / length
+        v_hat = v - 2.0 * a2 * u_inf
+        drift = a2 * u_inf**2
+        c = math.sqrt(1.0 - rep.s * h * h)
         n = np.arange(self.window)
         x = eps * h * n - c * eps * t
         t2 = eps**3 * t
@@ -273,7 +263,7 @@ class ProfileBuilder:
         global_phase = u_inf * peak + drift * t2
         phi = -t + eps * (phi1 + global_phase)
         jets = {1: u_inf + A * S}
-        nu = 1.0 + eps**2 * self._poly(self.report.amplitude(1), jets, h)
+        nu = 1.0 + eps**2 * self._poly(rep.amplitude(1), jets, h)
         if np.any(nu <= 0):
             raise DomainError("amplitude correction drove the field density nonpositive")
         values = np.sqrt(nu) * np.exp(1j * phi)
@@ -329,8 +319,8 @@ def error_scaling(
     """Integrate from the constructed profile over the slow horizon T (so
     T / eps^3 lattice time) and fit the log-log slope of the sup gap to the
     flow-advanced prediction."""
-    if len(eps_list) < 3:
-        raise DomainError("need at least three epsilon values for a slope")
+    if len(set(eps_list)) < 3:
+        raise DomainError("need at least three distinct epsilon values for a slope")
     if not all(0 < eps <= 0.3 for eps in eps_list):
         raise DomainError("every epsilon must lie in (0, 0.3]")
     if not 0 < h < 1:
@@ -342,7 +332,7 @@ def error_scaling(
     rows: List[ScalingRow] = []
     for eps in eps_list:
         sites = int(math.ceil(30.0 / (float(WIDTH) * eps * h)))
-        builder = ProfileBuilder(report, MultiscaleProfile(epsilon=eps), sites)
+        builder = ProfileBuilder(report, eps, sites)
         state = builder.state(h, 0.0)
         horizon = T / eps**3
         steps = max(1, int(round(horizon / dt)))

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ._polyops import sign_on_open_unit_interval
+from .compatibility import solve_t3_correction
 from .diffpoly import (
     DiffPolynomial,
     EvolutionRules,
@@ -265,7 +266,6 @@ def lattice_residual_series(
 @dataclass
 class DispersionData:
     c_squared: CoeffElement
-    zeta: str
     sigma: int
     general_text: str
     rejected: Dict[int, str]
@@ -353,8 +353,13 @@ class _Run:
         self.nu_solutions[i] = value
         self.log.append(f"eps^{k}: nu^({i}) eliminated ({len(value)} terms)")
 
-    def phase_residual(self, k: int) -> Tuple[Dict[FieldSymbol, CoeffElement], DiffPolynomial]:
-        """Unknown-evolution coefficients and the known remainder at eps^k."""
+    def phase_residual(
+        self, k: int, expect: Set[FieldSymbol]
+    ) -> Tuple[CoeffElement, DiffPolynomial]:
+        """The preamble of every odd order from eps^5 on: the unknown
+        evolutions at eps^k must be exactly the tagged symbols `expect`, each
+        a clean first x-derivative with one shared coefficient lambda;
+        returns lambda and the known remainder."""
         poly = self.resolved(self.r_nu.get(k))
         lams: Dict[FieldSymbol, CoeffElement] = {}
         known = poly
@@ -370,15 +375,14 @@ class _Run:
             raise SecularResidueError(
                 f"eps^{k}: wave terms beyond phi^({top}) failed to cancel"
             )
-        return lams, known
-
-    def shared_lambda(self, lams: Dict[FieldSymbol, CoeffElement], k: int) -> CoeffElement:
+        if set(lams) != expect:
+            raise InconsistentSystemError(f"eps^{k}: unexpected unknown set")
         values = list(lams.values())
-        if not values or any(v != values[0] for v in values[1:]):
+        if any(v != values[0] for v in values[1:]):
             raise InconsistentSystemError(
                 f"eps^{k}: unknown evolutions enter with unequal coefficients"
             )
-        return values[0]
+        return values[0], known
 
     # --- odd-order stages ----------------------------------------------------
 
@@ -391,11 +395,7 @@ class _Run:
         self.log.append("eps^3: dispersion identity holds on the characteristic frame")
 
     def stage_t2(self) -> None:
-        lams, known = self.phase_residual(5)
-        expect = {FieldSymbol("phi", 1, (2,))}
-        if set(lams) != expect:
-            raise InconsistentSystemError("eps^5: expected exactly the first t2 evolution")
-        lam = self.shared_lambda(lams, 5)
+        lam, known = self.phase_residual(5, {FieldSymbol("phi", 1, (2,))})
         flow2 = known.integrate_x().scale(-(lam.inv()))
         alpha1 = flow2.terms.get(mono(("phi", 1, 3)), self.field.zero)
         alpha2 = flow2.terms.get(mono(("phi", 1, 1), ("phi", 1, 1)), self.field.zero)
@@ -411,11 +411,9 @@ class _Run:
         )
 
     def stage_t3(self) -> None:
-        lams, known = self.phase_residual(7)
-        expect = {FieldSymbol("phi", 1, (3,)), FieldSymbol("phi", 2, (2,))}
-        if set(lams) != expect:
-            raise InconsistentSystemError("eps^7: unexpected unknown set")
-        lam = self.shared_lambda(lams, 7)
+        lam, known = self.phase_residual(
+            7, {FieldSymbol("phi", 1, (3,)), FieldSymbol("phi", 2, (2,))}
+        )
         combined = known.integrate_x().scale(-(lam.inv()))
 
         def coeff(*factors) -> CoeffElement:
@@ -443,8 +441,6 @@ class _Run:
     def prepare_t3_correction(self) -> None:
         """The t3 rule for phi^(2): linearized third flow plus the correction
         whose coefficients are forced by the t2/t3 cross-derivative identity."""
-        from .compatibility import solve_t3_correction
-
         b_values = solve_t3_correction(
             self.alphas[1],
             self.alphas[2],
@@ -468,11 +464,9 @@ class _Run:
         lattice) the combined unknown enters as d_x of the evolutions, so
         the split runs on the differentiated equation, renamed to the
         derivative fields vphi and matched against the companion flows H_j."""
-        lams, known = self.phase_residual(9)
-        expect = {FieldSymbol("phi", 1, (4,)), FieldSymbol("phi", 3, (2,))}
-        if set(lams) != expect:
-            raise InconsistentSystemError("eps^9: unexpected unknown set")
-        lam = self.shared_lambda(lams, 9)
+        lam, known = self.phase_residual(
+            9, {FieldSymbol("phi", 1, (4,)), FieldSymbol("phi", 3, (2,))}
+        )
         try:
             combined = known.integrate_x().scale(-(lam.inv()))
             self.variant = "potential"
@@ -608,7 +602,6 @@ def derive_dispersion(s: int) -> DispersionData:
     ratio = c2 / (field.h * field.h)
     return DispersionData(
         c_squared=c2,
-        zeta="h",
         sigma=sigma,
         general_text=f"c^2 = zeta^2 * ({ratio.even.text()}) with zeta = h",
         rejected=rejected,

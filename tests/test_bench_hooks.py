@@ -1,12 +1,17 @@
 """The benchmark's tracer patches asymint functions by name.
 
 perfbench/tracer.py is read as source (nothing is written beside it) and
-every attribute it patches must exist, so a rename in the package fails
-here and not only in a traced benchmark run.
+every attribute it patches must exist, and the size hooks must read the
+arguments and results they expect, so a rename or a changed call shape in
+the package fails here and not only in a traced benchmark run.
 """
 
 import importlib
+import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +43,39 @@ def patch_points():
 def test_tracer_patch_point_resolves(module, path):
     target = resolve(module, path)
     assert path == "ONE" or callable(target)
+
+
+# Installs the tracer in a fresh interpreter (-B: no bytecode is written
+# beside it), then integrates 8 sites for 3 steps and solves the s = 1
+# order-7 commutation problem; prints the tracer's counters.
+SIZE_PROBE = """
+import contextlib, io, json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from asymint import cli, lattice
+lattice.integrate(lattice.LatticeState(np.ones(8, dtype=complex), 0.5), 0.01, 3, 1)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    rc = cli.main(["check", "--s", "1", "--order", "7"])
+print(json.dumps({"rc": rc, "counts": tracer.counts}))
+"""
+
+
+def test_tracer_size_hooks_read_the_call_shapes():
+    src = str(TRACER.parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "ASYMINT_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", SIZE_PROBE, str(TRACER.parent)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    counts = result["counts"]
+    assert result["rc"] == 0
+    assert counts["lattice.site_steps"] == 24
+    assert counts["lattice.state_bytes"] == 128
+    solve = [counts[f"compatibility.{key}"] for key in ("equations", "unknowns", "pivots")]
+    assert solve == [9, 6, 6]

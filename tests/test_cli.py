@@ -131,13 +131,39 @@ def test_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
     ["validate", "--s", "0", "--T", "-1"],
     ["jordan", "--j", "1", "--omega", "-1", "--max-i", "4", "--verify", "poly:3"],
     ["jordan", "--j", "1", "--omega", "0", "--max-i", "4"],
-], ids=["dt-zero", "h-zero", "T-negative", "omega-negative", "omega-zero"])
+    ["validate", "--s", "1", "--eps", "0.2,0.2,0.2"],
+], ids=["dt-zero", "h-zero", "T-negative", "omega-negative", "omega-zero", "eps-repeated"])
 def test_out_of_domain_input_exits_one_without_artifact(capsys, tmp_path, argv):
     out_path = tmp_path / "artifact"
     assert main([*argv, "--out", str(out_path)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "error" in err[0], err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, cache_is_file", [
+    (["reduce", "--s", "1", "--order", "5"], False),
+    (["check", "--s", "1", "--order", "7"], False),
+    (["jordan", "--j", "1", "--omega", "2", "--max-i", "4"], False),
+    (["reduce", "--s", "1", "--order", "5"], True),
+], ids=["reduce", "check", "jordan", "cache-dir-is-a-file"])
+def test_unwritable_output_exits_one_without_artifact(
+    capsys, monkeypatch, tmp_path, argv, cache_is_file
+):
+    if cache_is_file:
+        blocker = tmp_path / "cache"
+        blocker.write_text("")
+        monkeypatch.setenv("ASYMINT_CACHE_DIR", str(blocker))
+        out_path = tmp_path / "artifact"
+    else:
+        monkeypatch.delenv("ASYMINT_CACHE_DIR", raising=False)
+        out_path = tmp_path / "missing" / "artifact"
+    assert main([*argv, "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "error" in err[0], err
+    assert not out_path.exists()
+    if cache_is_file:
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
 
 
 def test_cache_directory_reuses_the_artifact(capsys, monkeypatch, tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asymint.errors import InconsistentSystemError, ZeroInverse
+from asymint.errors import InconsistentSystemError
 from asymint.field import CoeffField
 from asymint.knowns import KnownPoly
 
@@ -52,15 +52,6 @@ def test_scalar_interop():
     assert (1 + a) - a == 1
 
 
-def test_division_by_constant_only():
-    a = sym("a1")
-    assert (a * 2) / F.from_int(2) == a
-    with pytest.raises(ZeroInverse):
-        (a * 2) / (F.one - F.one)
-    with pytest.raises(InconsistentSystemError):
-        (a * 2) / sym("a2")
-
-
 def test_split_linear():
     a1, a2, b = sym("a1"), sym("a2"), sym("b1")
     p = a1 * 3 + a2 * F.c + b * b + 7
@@ -90,7 +81,4 @@ def test_substitute_and_evaluate():
 def test_degrees_and_text():
     a1, a2 = sym("a1"), sym("a2")
     p = a1 * a1 * a2 + a2
-    assert p.total_degree() == 3
-    assert p.degree_in("a1") == 2 == p.degree_in(["a1"])
-    assert p.degree_in("c11") == 0
     assert "a1^2" in p.text()

@@ -16,7 +16,6 @@ from asymint.errors import DomainError, StabilityError
 from asymint.field import ModelParams
 from asymint.lattice import (
     LatticeState,
-    MultiscaleProfile,
     ProfileBuilder,
     error_scaling,
     integrate,
@@ -93,7 +92,7 @@ def test_soliton_parameters_are_solved_from_the_flow(engine):
 
 
 def test_profile_at_zero_epsilon_is_the_background(engine):
-    state = ProfileBuilder(engine(1, 5), MultiscaleProfile(epsilon=0.0), 32).state(H, 0.0)
+    state = ProfileBuilder(engine(1, 5), 0.0, 32).state(H, 0.0)
     assert np.allclose(state.values, 1.0, atol=1e-15)
 
 
@@ -103,7 +102,7 @@ def test_profile_amplitude_has_the_predicted_leading_size(engine):
     amp = data.amplitude.eval_float(Fraction(1, 2))
     c = math.sqrt(1 - H * H)
     for eps in (0.1, 0.05):
-        state = ProfileBuilder(rep, MultiscaleProfile(epsilon=eps), 1200).state(H, 0.0)
+        state = ProfileBuilder(rep, eps, 1200).state(H, 0.0)
         u_inf = -2 * amp / (len(state.values) * eps * H)
         peak = eps * eps * abs(c * (amp + u_inf))
         measured = np.max(np.abs(np.abs(state.values) ** 2 - 1))
@@ -111,7 +110,7 @@ def test_profile_amplitude_has_the_predicted_leading_size(engine):
 
 
 def test_norm_drift_is_fourth_order_for_the_plain_branch(engine):
-    builder = ProfileBuilder(engine(0, 5), MultiscaleProfile(epsilon=0.2), 400)
+    builder = ProfileBuilder(engine(0, 5), 0.2, 400)
     drifts = {}
     for dt in (0.02, 0.01):
         state = builder.state(H, 0.0)
@@ -122,7 +121,7 @@ def test_norm_drift_is_fourth_order_for_the_plain_branch(engine):
 
 
 def test_norm_drift_stays_small_for_the_saturated_branch(engine):
-    builder = ProfileBuilder(engine(1, 5), MultiscaleProfile(epsilon=0.2), 400)
+    builder = ProfileBuilder(engine(1, 5), 0.2, 400)
     state = builder.state(H, 0.0)
     start = float(np.sum(np.abs(state.values) ** 2))
     final = integrate(state, 0.02, 50, 1)
@@ -130,7 +129,7 @@ def test_norm_drift_stays_small_for_the_saturated_branch(engine):
 
 
 def test_dt_refinement_on_a_soliton_is_fourth_order(engine):
-    builder = ProfileBuilder(engine(0, 5), MultiscaleProfile(epsilon=0.2), 400)
+    builder = ProfileBuilder(engine(0, 5), 0.2, 400)
     finals = {}
     for dt in (0.04, 0.02, 0.01):
         state = builder.state(H, 0.0)
@@ -158,11 +157,13 @@ def test_plain_branch_error_is_no_smaller(scaling):
 def test_error_scaling_needs_three_points(engine):
     with pytest.raises(DomainError):
         error_scaling(1, H, [0.1, 0.05], T=0.1, report=engine(1, 5))
-
-
-def test_profile_domain_checks():
     with pytest.raises(DomainError):
-        MultiscaleProfile(epsilon=0.5)
+        error_scaling(1, H, [0.1, 0.1, 0.05], T=0.1, report=engine(1, 5))
+
+
+def test_profile_domain_checks(engine):
+    with pytest.raises(DomainError):
+        ProfileBuilder(engine(1, 5), 0.5, 400)
 
 
 @pytest.mark.parametrize("dt, steps", [

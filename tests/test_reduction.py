@@ -11,12 +11,12 @@ from fractions import Fraction
 import pytest
 
 from asymint.diffpoly import DiffPolynomial, FieldSymbol, mono
-from asymint.errors import DomainError, SecularResidueError
+from asymint.errors import DomainError, InconsistentSystemError, SecularResidueError
 from asymint.field import CoeffField, ModelParams
 from asymint.hierarchy import FlowHierarchy
 from asymint import reduction
 from asymint.labels import T2_THIRD, T2_THIRD_KDV
-from asymint.reduction import _Run, derive_dispersion, run_reduction
+from asymint.reduction import EpsSeries, _Run, derive_dispersion, run_reduction
 
 ALPHAS = {
     0: {
@@ -66,7 +66,6 @@ def test_dispersion_forces_the_defocusing_sign():
         data = derive_dispersion(s)
         f = CoeffField(s)
         assert data.sigma == 1
-        assert data.zeta == "h"
         assert data.c_squared == f.one - f.from_int(s) * f.h * f.h
         assert -1 in data.rejected and "not positive" in data.rejected[-1]
 
@@ -201,6 +200,25 @@ def test_forcing_split_rejects_a_foreign_sector(engine, kind, basis):
     for bad, reason in ((target * target, "higher degree"), (target.d_x(), "linearized t2 flow")):
         with pytest.raises(SecularResidueError, match=reason):
             run.split_forcing(linear + forcing + bad, kind, 3, basis, "eps^9")
+
+
+def test_phase_residual_needs_the_expected_unknowns_with_one_coefficient():
+    run = _Run(ModelParams(s=1), 5)
+    two = run.field.from_int(2)
+    phi1_t2, phi2_t2 = FieldSymbol("phi", 1, (2,)), FieldSymbol("phi", 2, (2,))
+    known = leaf(run.field, "phi", 1, 3)
+
+    def residual(first):
+        unknowns = DiffPolynomial.leaf(phi1_t2, 1, first) + DiffPolynomial.leaf(phi2_t2, 1, two)
+        return EpsSeries(5, {5: unknowns + known})
+
+    run.r_nu = residual(run.field.one)
+    with pytest.raises(InconsistentSystemError, match="unexpected unknown set"):
+        run.phase_residual(5, {phi1_t2})
+    with pytest.raises(InconsistentSystemError, match="unequal coefficients"):
+        run.phase_residual(5, {phi1_t2, phi2_t2})
+    run.r_nu = residual(two)
+    assert run.phase_residual(5, {phi1_t2, phi2_t2}) == (two, known)
 
 
 def test_pinned_h_field_runs_the_same_pipeline():
