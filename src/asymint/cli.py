@@ -4,7 +4,8 @@ Every artifact is deterministic: identical configuration produces
 byte-identical JSON/CSV output, so reports can be diffed and cached.
 Timing goes to stderr only.  Exit codes: 0 on success, 2 when a
 commutation verdict is FAIL, 1 on usage errors, out-of-domain input or
-an unwritable output path, with one error line on stderr.
+an unwritable output path or cache directory (found before any
+computation starts), with one error line on stderr.
 """
 
 from __future__ import annotations
@@ -108,6 +109,17 @@ def _build_parser() -> _Parser:
 # --- artifact plumbing -----------------------------------------------------------
 
 
+def _check_writable(out: Optional[str]) -> None:
+    """Raise OSError before any computation when --out cannot be written."""
+    if out is None:
+        return
+    parent = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(parent):
+        raise OSError(f"cannot write {out}: no directory {parent}")
+    if os.path.isdir(out) or not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        raise OSError(f"cannot write {out}")
+
+
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -133,17 +145,20 @@ def _cached(key_parts: List[str], build) -> str:
     """Build the artifact text, reusing a cache file when the environment
     names a cache directory.  The key includes the digest of the sources;
     a new entry is written to a temporary file and then renamed into place,
-    so a reader never sees a partial one."""
+    so a reader never sees a partial one.  An unusable cache directory
+    fails before the build."""
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return build()
+    os.makedirs(cache_dir, exist_ok=True)
     digest = hashlib.sha256("|".join([_source_digest(), *key_parts]).encode()).hexdigest()[:24]
     path = os.path.join(cache_dir, f"asymint-{digest}.json")
     if os.path.exists(path):
         with open(path, encoding="utf-8") as handle:
             return handle.read()
+    if not os.access(cache_dir, os.W_OK):
+        raise OSError(f"cannot write the cache directory {cache_dir}")
     text = build()
-    os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -363,6 +378,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_writable(getattr(args, "out", None))
         return _COMMANDS[args.command](args)
     except (AsymintError, ValueError, OSError) as exc:
         sys.stderr.write(f"asymint {args.command}: error: {exc}\n")

@@ -452,14 +452,12 @@ class CoeffElement:
             raise DomainError(f"h must lie in (0, 1), got {h}")
         return self.even.eval(h), self.odd.eval(h)
 
-    def eval_float(self, h, c_sign: int = 1) -> float:
-        """Float value with c = c_sign * sqrt(1 - s h^2)."""
-        if c_sign not in (1, -1):
-            raise ValueError("c_sign must be +1 or -1")
+    def eval_float(self, h) -> float:
+        """Float value with c = sqrt(1 - s h^2)."""
         hq = Fraction(h) if not isinstance(h, Fraction) else h
         ev, od = self.eval_exact(hq)
         rad = 1 - self.field.s * hq * hq
-        return float(ev) + c_sign * float(od) * _fsqrt(float(rad))
+        return float(ev) + float(od) * _fsqrt(float(rad))
 
     def text(self) -> str:
         """Canonical display: '(even)/den + (odd)/den*c' with reduced parts."""

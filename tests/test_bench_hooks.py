@@ -75,6 +75,7 @@ def test_tracer_size_hooks_read_the_call_shapes():
     result = json.loads(proc.stdout)
     counts = result["counts"]
     assert result["rc"] == 0
+    assert counts["lattice.rhs.calls"] == 12  # four per step
     assert counts["lattice.site_steps"] == 24
     assert counts["lattice.state_bytes"] == 128
     solve = [counts[f"compatibility.{key}"] for key in ("equations", "unknowns", "pivots")]

@@ -145,11 +145,20 @@ def test_out_of_domain_input_exits_one_without_artifact(capsys, tmp_path, argv):
     (["reduce", "--s", "1", "--order", "5"], False),
     (["check", "--s", "1", "--order", "7"], False),
     (["jordan", "--j", "1", "--omega", "2", "--max-i", "4"], False),
+    (["validate", "--s", "0"], False),
     (["reduce", "--s", "1", "--order", "5"], True),
-], ids=["reduce", "check", "jordan", "cache-dir-is-a-file"])
+], ids=["reduce", "check", "jordan", "validate", "cache-dir-is-a-file"])
 def test_unwritable_output_exits_one_without_artifact(
     capsys, monkeypatch, tmp_path, argv, cache_is_file
 ):
+    import asymint.cli as cli
+
+    # the path is checked before any computation starts
+    def boom(*args, **kwargs):
+        raise AssertionError("computed before the output was checked")
+
+    for name in ("run_reduction", "error_scaling", "jordan_coefficients"):
+        monkeypatch.setattr(cli, name, boom)
     if cache_is_file:
         blocker = tmp_path / "cache"
         blocker.write_text("")

@@ -7,6 +7,7 @@ constraint generators.  The solver must reproduce them as written, up to
 nothing: same labels, same rational coefficients.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -256,5 +257,8 @@ def test_verdicts_survive_h_pinning(commutation, pinned_commutation):
 def test_nonvanishing_witness_under_both_signs(commutation):
     out = commutation(0, 9)
     value = next(v for v in out.evaluated if not v.is_zero())
-    for c_sign in (1, -1):
-        assert abs(value.eval_float(Fraction(1, 2), c_sign=c_sign)) > 1e-6
+    h = Fraction(1, 2)
+    even, odd = value.eval_exact(h)
+    root = math.sqrt(1 - value.field.s * h * h)
+    assert abs(value.eval_float(h)) > 1e-6
+    assert abs(float(even) - float(odd) * root) > 1e-6  # c -> -c

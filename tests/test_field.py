@@ -6,6 +6,7 @@ x |-> even(h) + odd(h)*sqrt(radicand) lands in Q exactly and must be a ring
 homomorphism.  All operations are checked against it.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -170,7 +171,9 @@ def test_specialization_is_a_ring_hom():
 def test_eval_float_branches():
     x = F1.h * F1.c
     h = Fraction(3, 5)
-    assert x.eval_float(h, c_sign=1) == pytest.approx(0.6 * 0.8)
-    assert x.eval_float(h, c_sign=-1) == pytest.approx(-0.6 * 0.8)
+    even, odd = x.eval_exact(h)
+    root = math.sqrt(1 - F1.s * h * h)
+    assert x.eval_float(h) == pytest.approx(0.6 * 0.8)
+    assert float(even) - float(odd) * root == pytest.approx(-0.6 * 0.8)  # c -> -c
     with pytest.raises(DomainError):
         x.eval_exact(Fraction(2))

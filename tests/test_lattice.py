@@ -43,15 +43,17 @@ def test_rhs_equilibrium_and_zero():
         assert np.all(rhs(zero, s) == 0)
 
 
-def test_rhs_matches_hand_expression():
-    state = random_state()
-    f = state.values
+def roll_rhs(f, s, sigma=1):
     lap = np.roll(f, -1) - 2 * f + np.roll(f, 1)
     mod = np.abs(f) ** 2
+    return 1j * (lap * (1 - s * sigma * H * H * mod) / (2 * H * H) - sigma * mod * f)
+
+
+def test_rhs_matches_hand_expression():
+    state = random_state()
     for s in (0, 1):
         for sigma in (1, -1):
-            want = 1j * (lap * (1 - s * sigma * H * H * mod) / (2 * H * H) - sigma * mod * f)
-            assert np.allclose(rhs(state, s, sigma), want, atol=1e-14)
+            assert np.allclose(rhs(state, s, sigma), roll_rhs(state.values, s, sigma), atol=1e-14)
 
 
 def test_rhs_branches_differ_by_the_saturation_factor():
@@ -60,6 +62,40 @@ def test_rhs_branches_differ_by_the_saturation_factor():
     lap = np.roll(f, -1) - 2 * f + np.roll(f, 1)
     got = rhs(state, 1) - rhs(state, 0)
     assert np.allclose(got, -1j * lap * np.abs(f) ** 2 / 2, atol=1e-14)
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3])
+def test_rhs_wraps_the_smallest_windows(sites):
+    rng = np.random.default_rng(sites)
+    f = rng.normal(size=sites) + 1j * rng.normal(size=sites)
+    for s in (0, 1):
+        for sigma in (1, -1):
+            got = rhs(LatticeState(f, H, 0.0), s, sigma)
+            assert np.allclose(got, roll_rhs(f, s, sigma), rtol=0, atol=1e-14)
+
+
+def test_integrate_matches_the_out_of_place_scheme():
+    # classical RK4 written out: fresh arrays for every stage and slope
+    dt, steps = 0.02, 200
+    for s in (0, 1):
+        y = random_state().values
+        for _ in range(steps):
+            k1 = roll_rhs(y, s)
+            k2 = roll_rhs(y + 0.5 * dt * k1, s)
+            k3 = roll_rhs(y + 0.5 * dt * k2, s)
+            k4 = roll_rhs(y + dt * k3, s)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        final = integrate(random_state(), dt, steps, s)
+        assert np.max(np.abs(final.values - y)) < 1e-12
+        assert final.time == pytest.approx(steps * dt, abs=1e-12)
+
+
+def test_integrate_leaves_the_input_state_untouched():
+    state = random_state()
+    before = state.values.copy()
+    final = integrate(state, 0.02, 5, 1)
+    assert np.array_equal(state.values, before) and state.time == 0.0
+    assert not np.shares_memory(final.values, state.values)
 
 
 def test_equilibrium_orbit_to_integrator_accuracy():
