@@ -16,7 +16,7 @@ from .errors import (
     SecularResidueError,
     ZeroInverse,
 )
-from .field import CoeffElement, CoeffField, ModelParams
+from .field import CoeffElement, CoeffField
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "ExpansionPointError",
     "GradingError",
     "InconsistentSystemError",
-    "ModelParams",
     "NonLocalError",
     "SecularResidueError",
     "ZeroInverse",

@@ -27,7 +27,7 @@ from . import __version__
 from .compatibility import build_problem, solve_compatibility
 from .diffpoly import enumerate_basis, monomial_text
 from .errors import AsymintError
-from .field import ModelParams
+from .field import CoeffField
 from .jordan import jordan_coefficients, sample_window, verify_on_sequence
 from .lattice import error_scaling
 from .reduction import run_reduction
@@ -113,6 +113,8 @@ def _check_writable(out: Optional[str]) -> None:
     """Raise OSError before any computation when --out cannot be written."""
     if out is None:
         return
+    if not out:
+        raise OSError("cannot write an empty --out path")
     parent = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(parent):
         raise OSError(f"cannot write {out}: no directory {parent}")
@@ -195,7 +197,7 @@ def _cmd_dims(args) -> int:
 
 
 def _reduction_payload(s: int, order: int, h: Optional[Fraction]) -> dict:
-    rep = run_reduction(ModelParams(s=s), order=order)
+    rep = run_reduction(CoeffField(s), order=order)
     payload = {
         "schema": "asymint.reduce/1",
         "s": rep.s,
@@ -242,7 +244,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _check_payload(s: int, order: int, symbolic: bool) -> dict:
-    rep = run_reduction(ModelParams(s=s), order=order)
+    rep = run_reduction(CoeffField(s), order=order)
     problem = build_problem(rep, order)
     out = solve_compatibility(problem)
     if symbolic:
@@ -333,7 +335,7 @@ EXPECTED_PATTERN = {
 def _proposition_payload() -> dict:
     branches: Dict[str, dict] = {}
     for s in (0, 1):
-        rep = run_reduction(ModelParams(s=s), order=9)
+        rep = run_reduction(CoeffField(s), order=9)
         seven = solve_compatibility(build_problem(rep, 7))
         nine = solve_compatibility(build_problem(rep, 9))
         branches[str(s)] = {

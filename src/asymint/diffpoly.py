@@ -73,10 +73,6 @@ def factor_weight(sym: FieldSymbol, ell: int, grading: str) -> int:
     raise ValueError(f"unknown grading {grading!r}")
 
 
-def monomial_weight(m: Monomial, grading: str) -> int:
-    return sum(factor_weight(sym, ell, grading) for sym, ell in m)
-
-
 def factor_text(sym: FieldSymbol, ell: int) -> str:
     return sym.name() if ell == 0 else f"D[{ell}]{{{sym.name()}}}"
 
@@ -321,9 +317,6 @@ class LinearDiffOperator:
             for m, coeff in (poly * target.d_x(k)).terms.items():
                 accumulate(acc, m, coeff)
         return DiffPolynomial(acc)
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.coeffs.values())
 
 
 # --- slow-time structure -----------------------------------------------------

@@ -16,8 +16,6 @@ is exact; numeric evaluation is a separate, explicit step.
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt as _fsqrt
 from typing import Optional, Tuple, Union
@@ -26,35 +24,6 @@ from . import _polyops as P
 from .errors import DomainError, ZeroInverse
 
 ScalarLike = Union[int, Fraction, "CoeffElement"]
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Parameters selecting one member of the combined lattice family.
-
-    s=0 is the standard discretisation, s=1 the integrable one.  sigma is
-    the nonlinearity sign, h_value an optional exact specialisation of the
-    lattice spacing.
-    """
-
-    s: int
-    sigma: int = 1
-    h_value: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if self.s not in (0, 1):
-            raise ValueError(f"s must be 0 or 1, got {self.s!r}")
-        if self.sigma not in (1, -1):
-            raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
-        if self.h_value is not None:
-            h = self.h_value
-            if not isinstance(h, Fraction):
-                raise ValueError("h_value must be an exact Fraction")
-            if not (0 < h < 1):
-                raise DomainError(f"h must lie in (0, 1), got {h}")
-
-    def field(self) -> "CoeffField":
-        return CoeffField(self.s, h_value=self.h_value)
 
 
 class RatFunc:
@@ -177,8 +146,11 @@ class CoeffField:
     def __init__(self, s: int, *, h_value: Optional[Fraction] = None):
         if s not in (0, 1):
             raise ValueError(f"s must be 0 or 1, got {s!r}")
-        if h_value is not None and not (0 < h_value < 1):
-            raise DomainError(f"h must lie in (0, 1), got {h_value}")
+        if h_value is not None:
+            if not isinstance(h_value, Fraction):
+                raise ValueError("h_value must be an exact Fraction")
+            if not (0 < h_value < 1):
+                raise DomainError(f"h must lie in (0, 1), got {h_value}")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "h_value", h_value)
         # c^2 = 1 - s h^2 with sigma = +1, zeta = h already folded in
@@ -247,58 +219,6 @@ class CoeffField:
         if isinstance(x, (int, Fraction)):
             return self.from_fraction(Fraction(x))
         raise TypeError(f"cannot coerce {type(x).__name__} into CoeffField")
-
-    def specialize(self, h_value: Fraction) -> "CoeffField":
-        """The same model branch with h pinned to an exact rational."""
-        if self.h_value is not None:
-            raise ValueError("field is already specialised")
-        return CoeffField(self.s, h_value=Fraction(h_value))
-
-    # --- parsing ----------------------------------------------------------
-
-    def parse(self, text: str) -> "CoeffElement":
-        """Parse the canonical coefficient grammar, e.g.
-        '(3 - 17*h^2)/64 + (0)*c'.  Any +,-,*,/,^ expression in h and c with
-        integer literals is accepted."""
-        try:
-            tree = ast.parse(text.replace("^", "**"), mode="eval")
-            return self._from_ast(tree.body)
-        except (SyntaxError, ValueError, ZeroDivisionError, ZeroInverse) as exc:
-            raise ValueError(f"not a valid coefficient expression: {text!r}") from exc
-
-    def _from_ast(self, node) -> "CoeffElement":
-        if isinstance(node, ast.BinOp):
-            left = self._from_ast(node.left)
-            if isinstance(node.op, ast.Pow):
-                if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int)):
-                    raise ValueError("exponent must be an integer literal")
-                return left ** node.right.value
-            right = self._from_ast(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                return left / right
-            raise ValueError(f"unsupported operator {type(node.op).__name__}")
-        if isinstance(node, ast.UnaryOp):
-            operand = self._from_ast(node.operand)
-            if isinstance(node.op, ast.USub):
-                return -operand
-            if isinstance(node.op, ast.UAdd):
-                return operand
-            raise ValueError(f"unsupported operator {type(node.op).__name__}")
-        if isinstance(node, ast.Name):
-            if node.id == "h":
-                return self._h
-            if node.id == "c":
-                return self._c
-            raise ValueError(f"unknown symbol {node.id!r}")
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return self.from_int(node.value)
-        raise ValueError(f"unsupported syntax {type(node).__name__}")
 
 
 class CoeffElement:
@@ -400,12 +320,6 @@ class CoeffElement:
             return NotImplemented
         return self * o.inv()
 
-    def __rtruediv__(self, other: ScalarLike) -> "CoeffElement":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
     def __pow__(self, k: int) -> "CoeffElement":
         if not isinstance(k, int):
             raise TypeError("exponent must be an int")
@@ -420,24 +334,7 @@ class CoeffElement:
             k >>= 1
         return out
 
-    def conjugate(self) -> "CoeffElement":
-        """The c -> -c involution."""
-        return CoeffElement(self.field, self.even, -self.odd)
-
     # --- evaluation and display -----------------------------------------
-
-    def specialize(self, target: CoeffField) -> "CoeffElement":
-        """Image in a field with h pinned; exact, and denominator-checked."""
-        if target.s != self.field.s:
-            raise ValueError("cannot change the model branch s")
-        if target.h_value is None:
-            raise ValueError("target field must have h pinned")
-        h = target.h_value
-        return CoeffElement(
-            target,
-            RatFunc.from_fraction(self.even.eval(h)),
-            RatFunc.from_fraction(self.odd.eval(h)),
-        )
 
     def eval_exact(self, h: Optional[Fraction] = None) -> Tuple[Fraction, Fraction]:
         """(even(h), odd(h)) as exact rationals."""

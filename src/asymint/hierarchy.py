@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diffpoly import DiffPolynomial, FieldSymbol, LinearDiffOperator
+from .diffpoly import DiffPolynomial, FieldSymbol
 from .field import CoeffElement
 
 _PHI1 = FieldSymbol("phi", 1)
@@ -52,25 +52,16 @@ class FlowHierarchy:
             cur = self.recursion(cur)
         return cur.integrate_x().scale(beta)
 
-    def linearized_flow(self, j: int, beta) -> LinearDiffOperator:
-        return self.flow(j, beta).frechet("phi", 1)
-
     def kdv_flow(self, j: int, beta) -> DiffPolynomial:
         """H_j, the same flow written for the derivative field vphi1."""
         return self.flow(j, beta).d_x().rename_to_kdv()
 
-    def linearized_kdv_flow(self, j: int, beta) -> LinearDiffOperator:
-        return self.kdv_flow(j, beta).frechet("vphi", 1)
-
     def linearized(self, j: int, beta, kind: str, index: int) -> DiffPolynomial:
         """The j-th linearized flow applied to the correction field
         (kind, index): K_j' on a phi field, H_j' on a vphi field."""
-        op = self.linearized_kdv_flow(j, beta) if kind == "vphi" else self.linearized_flow(j, beta)
+        if kind == "vphi":
+            op = self.kdv_flow(j, beta).frechet("vphi", 1)
+        else:
+            op = self.flow(j, beta).frechet("phi", 1)
         return op.apply(DiffPolynomial.leaf(FieldSymbol(kind, index), 0, self.field.one))
 
-
-def flow_commutator(
-    p: DiffPolynomial, q: DiffPolynomial, kind: str, index: int = 1
-) -> DiffPolynomial:
-    """Lie bracket p'[q] - q'[p] of two evolutionary flows on one field."""
-    return p.frechet(kind, index).apply(q) - q.frechet(kind, index).apply(p)

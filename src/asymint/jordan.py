@@ -81,9 +81,11 @@ def jordan_coefficients(
     j: int, omega: Rational, max_i: int, p: Optional[int] = None
 ) -> JordanExpansion:
     """Expansion coefficients for i in [j, max_i], truncated at i = p when
-    p is finite."""
+    p is finite; p must not be negative, and p < j leaves no coefficient."""
     if j < 1:
         raise DomainError("the difference order j must be at least 1")
+    if p is not None and p < 0:
+        raise DomainError(f"the truncation order p must not be negative, got {p}")
     if max_i < j:
         raise DomainError("max_i must be at least j")
     omega = Fraction(omega)

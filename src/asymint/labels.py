@@ -44,10 +44,6 @@ class LabeledBasis:
         """Name of the graded space, as reported beside a forcing."""
         return f"P_{self.weight}^({self.max_index}) {self.grading}"
 
-    @property
-    def monomials(self) -> Tuple[Monomial, ...]:
-        return tuple(m for _, m in self.pairs)
-
     def label_of(self, m: Monomial) -> str:
         for name, mm in self.pairs:
             if mm == m:

@@ -3,13 +3,15 @@
 The reduction claims that fields obeying the slow-time flows assemble into
 approximate lattice solutions.  This module integrates the complex lattice
 
-    i df_n/dt + (f_{n+1} - 2 f_n + f_{n-1}) (1 - s sigma h^2 |f_n|^2) / (2 h^2)
-        = sigma |f_n|^2 f_n
+    i df_n/dt + (f_{n+1} - 2 f_n + f_{n-1}) (1 - s h^2 |f_n|^2) / (2 h^2)
+        = |f_n|^2 f_n,
 
-with a fixed-step classical Runge-Kutta scheme on a periodic window, builds
-initial data from the truncated expansion around the constant orbit with a
-traveling-wave profile of the second flow, and measures how the gap to the
-flow-advanced prediction scales in epsilon.
+the sigma = +1 member of the family, the nonlinearity sign that the
+dispersion analysis selects (reduction.derive_dispersion).  It advances the
+lattice with a fixed-step classical Runge-Kutta scheme on a periodic window,
+builds initial data from the truncated expansion around the constant orbit
+with a traveling-wave profile of the second flow, and measures how the gap
+to the flow-advanced prediction scales in epsilon.
 
 The traveling profile is solved, not transcribed: a sech^2 ansatz for the
 derivative field goes into the engine's own second flow and the amplitude and
@@ -30,7 +32,7 @@ import numpy as np
 
 from .diffpoly import DiffPolynomial, accumulate
 from .errors import DomainError, StabilityError
-from .field import CoeffElement, CoeffField, ModelParams
+from .field import CoeffElement, CoeffField
 from .reduction import ReductionReport, run_reduction
 
 
@@ -43,10 +45,10 @@ class LatticeState:
     time: float = 0.0
 
 
-def rhs(state: LatticeState, s: int, sigma: int = 1) -> np.ndarray:
+def rhs(state: LatticeState, s: int) -> np.ndarray:
     """Right-hand side of df_n/dt on a periodic window of at least one site:
 
-        1j * (lap_n * (1 - s sigma h^2 |f_n|^2) / (2 h^2) - sigma |f_n|^2 f_n)
+        1j * (lap_n * (1 - s h^2 |f_n|^2) / (2 h^2) - |f_n|^2 f_n)
 
     with lap_n = f_{n+1} - 2 f_n + f_{n-1}, built from slices (the two end
     sites wrap around) and evaluated in place on one fresh result array."""
@@ -54,7 +56,7 @@ def rhs(state: LatticeState, s: int, sigma: int = 1) -> np.ndarray:
     n = len(f)
     mod = np.square(f.real)
     mod += np.square(f.imag)
-    factor = mod * (-0.5 * s * sigma)
+    factor = mod * (-0.5 * s)
     factor += 0.5 / state.h**2
     out = np.empty(n, dtype=complex)
     np.add(f[2:], f[:-2], out=out[1:-1])
@@ -63,7 +65,6 @@ def rhs(state: LatticeState, s: int, sigma: int = 1) -> np.ndarray:
     out -= f
     out -= f
     out *= factor
-    mod *= sigma
     out -= mod * f
     out *= 1j
     return out
@@ -147,11 +148,6 @@ class SechPoly:
                     accumulate(acc, (a, b), v)
         return SechPoly(self.field, acc)
 
-    def scale(self, value: CoeffElement) -> "SechPoly":
-        if value.is_zero():
-            return SechPoly(self.field)
-        return SechPoly(self.field, {k: v * value for k, v in self.terms.items()})
-
     def d_xi(self, width: CoeffElement) -> "SechPoly":
         """Derivative in xi: S' = -2B S T, T' = B S."""
         out = SechPoly(self.field)
@@ -162,9 +158,6 @@ class SechPoly:
             if b:
                 out = out + SechPoly(self.field, {(a + 1, 0): v * width})
         return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def get(self, a: int, b: int) -> CoeffElement:
         return self.terms.get((a, b), self.field.zero)
@@ -225,15 +218,6 @@ def solve_soliton(flow2: DiffPolynomial, field: CoeffField, width: Fraction) -> 
     amplitude = -(linear.get(2, 0) * quadratic.get(2, 0).inv())
     speed = -(linear.get(1, 0) + amplitude * quadratic.get(1, 0))
     return SolitonData(Fraction(width), amplitude, speed)
-
-
-def soliton_residual(flow2: DiffPolynomial, field: CoeffField, data: SolitonData) -> SechPoly:
-    """The traveling-wave equation evaluated at the solved data; zero when
-    the solve closed the ansatz exactly."""
-    linear, quadratic = _soliton_parts(flow2, field, data.width)
-    total = linear.scale(data.amplitude) + quadratic.scale(data.amplitude * data.amplitude)
-    drive = SechPoly(field, {(1, 0): data.speed * data.amplitude})
-    return total + drive
 
 
 # --- profile construction ----------------------------------------------------------
@@ -341,9 +325,8 @@ def error_scaling(
     s: int,
     h: float,
     eps_list: Sequence[float],
-    T: float = 0.5,
-    dt: float = 0.01,
-    report: Optional[ReductionReport] = None,
+    T: float,
+    dt: float,
 ) -> ScalingResult:
     """Integrate from the constructed profile over the slow horizon T (so
     T / eps^3 lattice time) and fit the log-log slope of the sup gap to the
@@ -356,8 +339,7 @@ def error_scaling(
         raise DomainError("the lattice spacing h must lie in (0, 1)")
     if not (0 < T < math.inf and 0 < dt < math.inf):
         raise DomainError("the horizon T and the step dt must be positive and finite")
-    if report is None:
-        report = run_reduction(ModelParams(s=s), order=5)
+    report = run_reduction(CoeffField(s), order=5)
     rows: List[ScalingRow] = []
     for eps in eps_list:
         sites = int(math.ceil(30.0 / (float(WIDTH) * eps * h)))

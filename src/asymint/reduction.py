@@ -47,7 +47,7 @@ from .errors import (
     NonLocalError,
     SecularResidueError,
 )
-from .field import CoeffElement, CoeffField, ModelParams
+from .field import CoeffElement, CoeffField
 from .hierarchy import FlowHierarchy
 from .labels import NINTH_ORDER, T2_SECOND, T3_SECOND, LabeledBasis
 
@@ -201,11 +201,12 @@ def expand_analytic(kind: str, arg: EpsSeries, field: CoeffField) -> EpsSeries:
 
 
 def lattice_residual_series(
-    params: ModelParams, field: CoeffField, limit: int
+    field: CoeffField, sigma: int, limit: int
 ) -> Tuple[EpsSeries, EpsSeries]:
     """Residuals (left minus right side) of the amplitude and phase
-    equations on the expanded ansatz, per eps-order."""
-    sigma = field.from_int(params.sigma)
+    equations on the expanded ansatz, per eps-order, for the nonlinearity
+    sign sigma (+1 or -1)."""
+    sigma = field.from_int(sigma)
     zeta = field.h
     inv_h2 = (field.h * field.h).inv()
     one = field.one
@@ -239,7 +240,7 @@ def lattice_residual_series(
         + expand_analytic("sqrt", nu * nu_dn, field)
         * expand_analytic("sin", arg_dn, field)
     )
-    rhs_nu = (nu.scale_all(sigma * params.s) - EpsSeries.constant(limit, inv_h2)) * sin_sum
+    rhs_nu = (nu.scale_all(sigma * field.s) - EpsSeries.constant(limit, inv_h2)) * sin_sum
 
     recip_nu = expand_analytic("recip", nu, field)
     cos_sum = (
@@ -250,9 +251,9 @@ def lattice_residual_series(
     )
     rhs_phi = (
         EpsSeries.constant(limit, -inv_h2)
-        + nu.scale_all(sigma * (params.s - 1))
+        + nu.scale_all(sigma * (field.s - 1))
         + (
-            EpsSeries.constant(limit, inv_h2) - nu.scale_all(sigma * params.s)
+            EpsSeries.constant(limit, inv_h2) - nu.scale_all(sigma * field.s)
         ).scale_all(Fraction(1, 2))
         * cos_sum
     )
@@ -304,11 +305,10 @@ class ReductionReport:
 
 
 class _Run:
-    def __init__(self, params: ModelParams, order: int):
-        self.params = params
+    def __init__(self, field: CoeffField, order: int):
         self.order = order
-        self.field = params.field()
-        self.r_nu, self.r_phi = lattice_residual_series(params, self.field, order)
+        self.field = field
+        self.r_nu, self.r_phi = lattice_residual_series(field, 1, order)
         self.rules = EvolutionRules(one=self.field.one)
         self.nu_solutions: Dict[int, DiffPolynomial] = {}
         self.alphas: Dict[int, CoeffElement] = {}
@@ -567,9 +567,8 @@ def derive_dispersion(s: int) -> DispersionData:
     rejected: Dict[int, str] = {}
     accepted: Optional[Tuple[int, CoeffField]] = None
     for sigma in (1, -1):
-        params = ModelParams(s=s, sigma=sigma)
-        field = params.field()
-        r_nu, r_phi = lattice_residual_series(params, field, 3)
+        field = CoeffField(s)
+        r_nu, r_phi = lattice_residual_series(field, sigma, 3)
         lam, rest = _split_bare(r_phi.get(2), FieldSymbol("nu", 1), 0, "eps^2")
         nu1 = rest.scale(-(lam.inv()))
         gain = nu1.terms.get(mono(("phi", 1, 1)), field.zero)
@@ -611,21 +610,17 @@ def derive_dispersion(s: int) -> DispersionData:
 # --- public entry ----------------------------------------------------------------
 
 
-def run_reduction(params: ModelParams, order: int = 9) -> ReductionReport:
-    """Resolve the expansion through eps^order and report every extracted
-    object.  Order ten only adds the amplitude correction nu^(5), which no
-    check verifies; an order outside 3..10 (below the dispersion order, or
-    from eps^11 on, where no solver stage exists) raises ValueError before
-    any expansion work."""
+def run_reduction(field: CoeffField, order: int = 9) -> ReductionReport:
+    """Resolve the expansion through eps^order on the field's lattice
+    branch, with the sigma = +1 nonlinearity that derive_dispersion selects,
+    and report every extracted object.  Order ten only adds the amplitude
+    correction nu^(5), which no check verifies; an order outside 3..10
+    (below the dispersion order, or from eps^11 on, where no solver stage
+    exists) raises ValueError before any expansion work."""
     if not 3 <= order <= 10:
         raise ValueError(f"the reduction runs through eps^3 to eps^10, got order {order}")
-    dispersion = derive_dispersion(params.s)
-    if params.sigma != dispersion.sigma:
-        raise DomainError(
-            "the expansion around the constant solution requires sigma = +1: "
-            + dispersion.rejected.get(params.sigma, "rejected")
-        )
-    run = _Run(params, order)
+    dispersion = derive_dispersion(field.s)
+    run = _Run(field, order)
     run.check_parity()
     stages: Dict[int, Callable[[], None]] = {
         3: run.stage_dispersion,
@@ -642,7 +637,7 @@ def run_reduction(params: ModelParams, order: int = 9) -> ReductionReport:
         else:
             stages[k]()
     return ReductionReport(
-        s=params.s,
+        s=field.s,
         order=order,
         variant=run.variant,
         dispersion=dispersion,

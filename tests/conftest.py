@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from asymint.compatibility import build_problem, solve_compatibility
-from asymint.field import ModelParams
+from asymint.field import CoeffField
 from asymint.lattice import error_scaling
 from asymint.reduction import run_reduction
 
@@ -25,7 +25,7 @@ def engine():
     def get(s, order=9):
         key = (s, order)
         if key not in _ENGINE:
-            _ENGINE[key] = run_reduction(ModelParams(s=s), order=order)
+            _ENGINE[key] = run_reduction(CoeffField(s), order=order)
         return _ENGINE[key]
 
     return get
@@ -50,8 +50,8 @@ def pinned_commutation():
     1/3 before solving."""
     def get(s, order):
         if s not in _PINNED:
-            params = ModelParams(s=s, h_value=Fraction(1, 3))
-            _PINNED[s] = (run_reduction(params, order=9), {})
+            field = CoeffField(s, h_value=Fraction(1, 3))
+            _PINNED[s] = (run_reduction(field, order=9), {})
         report, solved = _PINNED[s]
         if order not in solved:
             solved[order] = solve_compatibility(build_problem(report, order))
@@ -61,13 +61,11 @@ def pinned_commutation():
 
 
 @pytest.fixture(scope="session")
-def scaling(engine):
+def scaling():
     """Error scaling per branch with the criterion-09 settings."""
     def get(s):
         if s not in _SCALING:
-            _SCALING[s] = error_scaling(
-                s, 0.5, [0.2, 0.1, 0.05], T=0.1, dt=0.02, report=engine(s, 5)
-            )
+            _SCALING[s] = error_scaling(s, 0.5, [0.2, 0.1, 0.05], T=0.1, dt=0.02)
         return _SCALING[s]
 
     return get

@@ -5,6 +5,8 @@ import pytest
 from asymint.cli import main
 from asymint.field import CoeffField
 
+from oracles import parse
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -28,7 +30,7 @@ def test_reduce_reports_canonical_text_and_numeric_values(capsys):
     payload = json.loads(out)
     assert payload["schema"] == "asymint.reduce/1"
     field = CoeffField(1)
-    assert field.parse(payload["alphas"]["1"]) == field.parse("((3 - 4*h^2)/24)*c")
+    assert parse(field, payload["alphas"]["1"]) == parse(field, "((3 - 4*h^2)/24)*c")
     assert payload["numeric"]["alphas"]["2"] == pytest.approx(-0.5)
     assert payload["dispersion"]["sigma"] == 1
 
@@ -132,7 +134,9 @@ def test_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
     ["jordan", "--j", "1", "--omega", "-1", "--max-i", "4", "--verify", "poly:3"],
     ["jordan", "--j", "1", "--omega", "0", "--max-i", "4"],
     ["validate", "--s", "1", "--eps", "0.2,0.2,0.2"],
-], ids=["dt-zero", "h-zero", "T-negative", "omega-negative", "omega-zero", "eps-repeated"])
+    ["jordan", "--j", "2", "--omega", "3", "--max-i", "6", "--p", "-3"],
+], ids=["dt-zero", "h-zero", "T-negative", "omega-negative", "omega-zero", "eps-repeated",
+        "p-negative"])
 def test_out_of_domain_input_exits_one_without_artifact(capsys, tmp_path, argv):
     out_path = tmp_path / "artifact"
     assert main([*argv, "--out", str(out_path)]) == 1
@@ -141,15 +145,16 @@ def test_out_of_domain_input_exits_one_without_artifact(capsys, tmp_path, argv):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("argv, cache_is_file", [
-    (["reduce", "--s", "1", "--order", "5"], False),
-    (["check", "--s", "1", "--order", "7"], False),
-    (["jordan", "--j", "1", "--omega", "2", "--max-i", "4"], False),
-    (["validate", "--s", "0"], False),
-    (["reduce", "--s", "1", "--order", "5"], True),
-], ids=["reduce", "check", "jordan", "validate", "cache-dir-is-a-file"])
+@pytest.mark.parametrize("argv, blocked", [
+    (["reduce", "--s", "1", "--order", "5"], "out-dir"),
+    (["check", "--s", "1", "--order", "7"], "out-dir"),
+    (["jordan", "--j", "1", "--omega", "2", "--max-i", "4"], "out-dir"),
+    (["validate", "--s", "0"], "out-dir"),
+    (["reduce", "--s", "1", "--order", "5"], "cache-dir"),
+    (["check", "--s", "0", "--order", "9"], "empty-out"),
+], ids=["reduce", "check", "jordan", "validate", "cache-dir-is-a-file", "empty-out"])
 def test_unwritable_output_exits_one_without_artifact(
-    capsys, monkeypatch, tmp_path, argv, cache_is_file
+    capsys, monkeypatch, tmp_path, argv, blocked
 ):
     import asymint.cli as cli
 
@@ -159,20 +164,23 @@ def test_unwritable_output_exits_one_without_artifact(
 
     for name in ("run_reduction", "error_scaling", "jordan_coefficients"):
         monkeypatch.setattr(cli, name, boom)
-    if cache_is_file:
+    monkeypatch.delenv("ASYMINT_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "missing" / "artifact")
+    if blocked == "cache-dir":
         blocker = tmp_path / "cache"
         blocker.write_text("")
         monkeypatch.setenv("ASYMINT_CACHE_DIR", str(blocker))
-        out_path = tmp_path / "artifact"
-    else:
-        monkeypatch.delenv("ASYMINT_CACHE_DIR", raising=False)
-        out_path = tmp_path / "missing" / "artifact"
-    assert main([*argv, "--out", str(out_path)]) == 1
+        out = str(tmp_path / "artifact")
+    elif blocked == "empty-out":
+        out = ""
+    assert main([*argv, "--out", out]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "error" in err[0], err
-    assert not out_path.exists()
-    if cache_is_file:
+    if blocked == "cache-dir":
         assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+    else:
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_directory_reuses_the_artifact(capsys, monkeypatch, tmp_path):

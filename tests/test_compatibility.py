@@ -24,6 +24,8 @@ from asymint.errors import InconsistentSystemError
 from asymint.field import CoeffField
 from asymint.knowns import KnownPoly
 
+from oracles import conjugate, parse, specialize
+
 WITNESS_VALUE = (
     "(450*h^2 + 345*h^4 - 1413*h^6 - 557*h^8 - 17*h^10)"
     "/(1944 - 2592*h^2 + 1296*h^4 - 288*h^6 + 24*h^8)"
@@ -129,7 +131,7 @@ def test_ninth_order_constraints_first_branch(engine, commutation):
     assert_same_relations(out.residual_constraints, want)
     nonzero = [v for v in out.evaluated if not v.is_zero()]
     assert len(nonzero) == 1
-    assert nonzero[0] == rep.field.parse(WITNESS_VALUE)
+    assert nonzero[0] == parse(rep.field, WITNESS_VALUE)
     assert out.verdict == "FAIL"
     assert out.witness is not None and "evaluates to" in out.witness
 
@@ -240,7 +242,7 @@ def test_verdicts_survive_branch_flip(commutation):
     for s in (0, 1):
         out = commutation(s, 9)
         pattern = [v.is_zero() for v in out.evaluated]
-        assert [v.conjugate().is_zero() for v in out.evaluated] == pattern
+        assert [conjugate(v).is_zero() for v in out.evaluated] == pattern
 
 
 def test_verdicts_survive_h_pinning(commutation, pinned_commutation):
@@ -250,7 +252,7 @@ def test_verdicts_survive_h_pinning(commutation, pinned_commutation):
         out = commutation(s, 9)
         target = CoeffField(s, h_value=Fraction(1, 3))
         general = [v.is_zero() for v in out.evaluated]
-        pinned = [v.specialize(target).is_zero() for v in out.evaluated]
+        pinned = [specialize(v, target).is_zero() for v in out.evaluated]
         assert pinned == general
 
 

@@ -11,13 +11,14 @@ from asymint.diffpoly import (
     FieldSymbol,
     enumerate_basis,
     mono,
-    monomial_weight,
     substitute_field,
     substitute_slow_times,
     time_derivative,
 )
 from asymint.errors import GradingError, MissingEvolutionError, NonLocalError
 from asymint.field import CoeffField
+
+from oracles import monomial_weight
 
 F = CoeffField(1)
 ONE = F.one

@@ -13,17 +13,17 @@ import numpy as np
 import pytest
 
 from asymint.errors import DomainError, StabilityError
-from asymint.field import ModelParams
 from asymint.lattice import (
     LatticeState,
     ProfileBuilder,
+    SolitonData,
     error_scaling,
     integrate,
     rhs,
     solve_soliton,
-    soliton_residual,
 )
-from asymint.reduction import run_reduction
+
+from oracles import soliton_residual
 
 H = 0.5
 
@@ -38,22 +38,20 @@ def test_rhs_equilibrium_and_zero():
     ones = LatticeState(np.ones(16, dtype=complex), H, 0.0)
     zero = LatticeState(np.zeros(16, dtype=complex), H, 0.0)
     for s in (0, 1):
-        for sigma in (1, -1):
-            assert np.allclose(rhs(ones, s, sigma), -1j * sigma, atol=1e-15)
+        assert np.allclose(rhs(ones, s), -1j, atol=1e-15)
         assert np.all(rhs(zero, s) == 0)
 
 
-def roll_rhs(f, s, sigma=1):
+def roll_rhs(f, s):
     lap = np.roll(f, -1) - 2 * f + np.roll(f, 1)
     mod = np.abs(f) ** 2
-    return 1j * (lap * (1 - s * sigma * H * H * mod) / (2 * H * H) - sigma * mod * f)
+    return 1j * (lap * (1 - s * H * H * mod) / (2 * H * H) - mod * f)
 
 
 def test_rhs_matches_hand_expression():
     state = random_state()
     for s in (0, 1):
-        for sigma in (1, -1):
-            assert np.allclose(rhs(state, s, sigma), roll_rhs(state.values, s, sigma), atol=1e-14)
+        assert np.allclose(rhs(state, s), roll_rhs(state.values, s), atol=1e-14)
 
 
 def test_rhs_branches_differ_by_the_saturation_factor():
@@ -69,9 +67,8 @@ def test_rhs_wraps_the_smallest_windows(sites):
     rng = np.random.default_rng(sites)
     f = rng.normal(size=sites) + 1j * rng.normal(size=sites)
     for s in (0, 1):
-        for sigma in (1, -1):
-            got = rhs(LatticeState(f, H, 0.0), s, sigma)
-            assert np.allclose(got, roll_rhs(f, s, sigma), rtol=0, atol=1e-14)
+        got = rhs(LatticeState(f, H, 0.0), s)
+        assert np.allclose(got, roll_rhs(f, s), rtol=0, atol=1e-14)
 
 
 def test_integrate_matches_the_out_of_place_scheme():
@@ -124,7 +121,9 @@ def test_soliton_parameters_are_solved_from_the_flow(engine):
             w2 = rep.field.from_fraction(width * width)
             assert data.amplitude == 6 * a1 * w2 * a2.inv()
             assert data.speed == -4 * a1 * w2
-            assert soliton_residual(rep.flows["K2"], rep.field, data).is_zero()
+            assert not soliton_residual(rep.flows["K2"], rep.field, data).terms
+            doubled = SolitonData(data.width, 2 * data.amplitude, data.speed)
+            assert soliton_residual(rep.flows["K2"], rep.field, doubled).terms
 
 
 def test_profile_at_zero_epsilon_is_the_background(engine):
@@ -190,11 +189,11 @@ def test_plain_branch_error_is_no_smaller(scaling):
         assert row0.sup_error >= row1.sup_error
 
 
-def test_error_scaling_needs_three_points(engine):
+def test_error_scaling_needs_three_points():
     with pytest.raises(DomainError):
-        error_scaling(1, H, [0.1, 0.05], T=0.1, report=engine(1, 5))
+        error_scaling(1, H, [0.1, 0.05], T=0.1, dt=0.02)
     with pytest.raises(DomainError):
-        error_scaling(1, H, [0.1, 0.1, 0.05], T=0.1, report=engine(1, 5))
+        error_scaling(1, H, [0.1, 0.1, 0.05], T=0.1, dt=0.02)
 
 
 def test_profile_domain_checks(engine):

@@ -17,7 +17,7 @@ import mpmath as mp
 import pytest
 
 from asymint.diffpoly import DiffPolynomial, FieldSymbol, mono, time_derivative
-from asymint.field import ModelParams
+from asymint.field import CoeffField
 from asymint.reduction import run_reduction
 
 mp.mp.dps = 60
@@ -137,7 +137,7 @@ def test_residual_scales_one_order_past_the_report(engine):
 
 def test_a_shifted_forcing_coefficient_is_detected():
     for s in (0, 1):
-        rep = run_reduction(ModelParams(s=s), order=7)
+        rep = run_reduction(CoeffField(s), order=7)
         true = [residual(rep, eps) for eps in EPSILONS]
         bump = DiffPolynomial(
             {
