@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional
 from . import __version__
 from .compatibility import build_problem, solve_compatibility
 from .diffpoly import enumerate_basis, monomial_text
-from .errors import AsymintError
+from .errors import AsymintError, DomainError
 from .field import CoeffField
 from .jordan import jordan_coefficients, sample_window, verify_on_sequence
 from .lattice import error_scaling
@@ -235,6 +235,8 @@ def _reduction_payload(s: int, order: int, h: Optional[Fraction]) -> dict:
 
 
 def _cmd_reduce(args) -> int:
+    if args.h is not None and not 0 < args.h < 1:
+        raise DomainError(f"h must lie in (0, 1), got {args.h}")
     _emit(
         ["reduce", str(args.s), str(args.order), str(args.h)],
         lambda: _reduction_payload(args.s, args.order, args.h),
@@ -277,6 +279,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_jordan(args) -> int:
+    degree = None
+    if args.verify is not None:
+        kind, _, rest = args.verify.partition(":")
+        if kind != "poly" or not rest.isdigit():
+            raise ValueError("--verify expects poly:D")
+        degree = int(rest)
     exp = jordan_coefficients(args.j, args.omega, args.max_i, p=args.p)
     payload = {
         "schema": "asymint.jordan/1",
@@ -286,12 +294,7 @@ def _cmd_jordan(args) -> int:
         "truncation_p": exp.truncation_p,
         "coefficients": {str(i): str(c) for i, c in sorted(exp.coefficients.items())},
     }
-    if args.verify is not None:
-        kind, _, rest = args.verify.partition(":")
-        if kind != "poly" or not rest.isdigit():
-            sys.stderr.write("asymint jordan: error: --verify expects poly:D\n")
-            return 1
-        degree = int(rest)
+    if degree is not None:
         step = Fraction(1, args.omega.denominator)
         _, _, span = sample_window(exp, step)
         samples = [

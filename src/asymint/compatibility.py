@@ -43,7 +43,6 @@ class CompatibilityProblem:
     the known forcing and of the unknown ansatz."""
 
     variant: str
-    order: int
     field: CoeffField
     target: FieldSymbol
     known_values: Dict[str, CoeffElement]
@@ -53,7 +52,6 @@ class CompatibilityProblem:
 
 @dataclass
 class CompatibilityReport:
-    order: int
     variant: str
     solved_coefficients: Dict[str, KnownPoly]
     residual_constraints: List[KnownPoly]
@@ -210,7 +208,6 @@ def _order7_problem(
         rules.set("phi", 2, j, linear + basis.ansatz(field))
     return CompatibilityProblem(
         variant="potential",
-        order=7,
         field=field,
         target=FieldSymbol("phi", 2),
         known_values=_filled(T2_SECOND, a_values, field),
@@ -262,7 +259,6 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
 
     return CompatibilityProblem(
         variant=variant,
-        order=9,
         field=field,
         target=FieldSymbol(kind, 3),
         known_values=known_values,
@@ -298,7 +294,6 @@ def solve_compatibility(problem: CompatibilityProblem) -> CompatibilityReport:
             witness = f"{c.text()} evaluates to {value.text()}"
             break
     return CompatibilityReport(
-        order=problem.order,
         variant=problem.variant,
         solved_coefficients=solved,
         residual_constraints=constraints,

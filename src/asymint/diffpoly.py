@@ -14,6 +14,8 @@ sparse polynomials in forcing symbols for the compatibility analysis).
 accumulate() is the one routine that adds a coefficient into a sparse term
 map, here and in the knowns, compatibility, reduction and lattice modules:
 every sum is built in place in one dict, term by term, and wrapped once.
+SparseSum holds the arithmetic that DiffPolynomial shares with the sparse
+sums of the other modules (KnownPoly, SechPoly, EpsSeries).
 """
 
 from __future__ import annotations
@@ -105,17 +107,79 @@ def accumulate(acc: Dict, key, coeff) -> None:
             del acc[key]
 
 
-class DiffPolynomial:
-    """Finite sum of scalar coefficients times differential monomials."""
+class SparseSum:
+    """A sparse sum: `terms` maps a key to a nonzero coefficient.
+
+    The one home of the arithmetic that every sparse sum shares: the zero
+    test, equality, addition, negation, subtraction, and a product that
+    multiplies every pair of terms and files it under the key `_mul_key`
+    gives.  A subclass says which operands it takes (`_operand`), how it
+    is rebuilt around a new term map (`_like`) and, for the shared product,
+    how two keys combine; a subclass whose product follows another rule
+    defines its own `__mul__`."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Monomial, object]] = None):
+    def __init__(self, terms: Optional[Dict] = None):
         self.terms = terms if terms is not None else {}
 
-    @classmethod
-    def zero(cls) -> "DiffPolynomial":
-        return cls({})
+    def _like(self, terms: Dict) -> "SparseSum":
+        return type(self)(terms)
+
+    def _operand(self, other) -> Optional["SparseSum"]:
+        """other as an operand of this sum, or None when it is not one."""
+        return other if isinstance(other, type(self)) else None
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        acc = dict(self.terms)
+        for key, coeff in o.terms.items():
+            accumulate(acc, key, coeff)
+        return self._like(acc)
+
+    def __neg__(self):
+        return self._like({key: -coeff for key, coeff in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __mul__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        key = self._mul_key
+        acc: Dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in o.terms.items():
+                accumulate(acc, key(k1, k2), c1 * c2)
+        return self._like(acc)
+
+
+class DiffPolynomial(SparseSum):
+    """Finite sum of scalar coefficients times differential monomials."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _mul_key(m1: Monomial, m2: Monomial) -> Monomial:
+        return tuple(sorted(m1 + m2))
 
     @classmethod
     def constant(cls, coeff) -> "DiffPolynomial":
@@ -125,46 +189,15 @@ class DiffPolynomial:
     def leaf(cls, sym: FieldSymbol, ell: int, coeff) -> "DiffPolynomial":
         return cls({((sym, ell),): coeff}) if coeff else cls({})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiffPolynomial) and self.terms == other.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def iter_sorted(self) -> Iterator[Tuple[Monomial, object]]:
         for m in sorted(self.terms):
             yield m, self.terms[m]
 
     # --- ring structure ---------------------------------------------------
 
-    def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        acc = dict(self.terms)
-        for m, coeff in other.terms.items():
-            accumulate(acc, m, coeff)
-        return DiffPolynomial(acc)
-
-    def __sub__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "DiffPolynomial":
-        return DiffPolynomial({m: -coeff for m, coeff in self.terms.items()})
-
-    def __mul__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        acc: Dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                accumulate(acc, _sort_mono(m1 + m2), c1 * c2)
-        return DiffPolynomial(acc)
-
     def scale(self, scalar) -> "DiffPolynomial":
         if not scalar:
-            return DiffPolynomial.zero()
+            return DiffPolynomial()
         return self.map_coeffs(lambda coeff: coeff * scalar)
 
     def mul_monomial(self, extra: Monomial) -> "DiffPolynomial":
@@ -227,10 +260,11 @@ class DiffPolynomial:
             raise NonLocalError("antiderivative reconstruction failed")
         return result
 
-    def frechet(self, kind: str, index: int) -> "LinearDiffOperator":
-        """Linearization with respect to the given field: the operator
-        sum_k (dP / d(d^k X)) d_x^k acting on a direction."""
-        target = FieldSymbol(kind, index)
+    def linearize(self, kind: str, direction: "DiffPolynomial") -> "DiffPolynomial":
+        """The linearization with respect to the first field of the given
+        kind, applied to a direction: sum_k (dP / d(d^k X1)) d_x^k direction,
+        summed in increasing k."""
+        target = FieldSymbol(kind, 1)
         buckets: Dict[int, Dict[Monomial, object]] = {}
         for m, coeff in self.terms.items():
             seen = set()
@@ -246,9 +280,12 @@ class DiffPolynomial:
                     _sort_mono(tuple(rest)),
                     coeff * Fraction(mult),
                 )
-        return LinearDiffOperator(
-            {k: DiffPolynomial(acc) for k, acc in buckets.items() if acc}
-        )
+        acc: Dict[Monomial, object] = {}
+        for k, bucket in sorted(buckets.items()):
+            if bucket:
+                for m, coeff in (DiffPolynomial(bucket) * direction.d_x(k)).terms.items():
+                    accumulate(acc, m, coeff)
+        return DiffPolynomial(acc)
 
     def rename_to_kdv(self) -> "DiffPolynomial":
         """Rewrite d^ell phi{j} as d^(ell-1) vphi{j}; every phi factor must
@@ -303,20 +340,6 @@ class DiffPolynomial:
 
 def _peel_key(m: Monomial) -> Tuple:
     return tuple(sorted(((ell, sym) for sym, ell in m), reverse=True))
-
-
-@dataclass
-class LinearDiffOperator:
-    """sum_k coeffs[k] * d_x^k, with differential-polynomial coefficients."""
-
-    coeffs: Dict[int, DiffPolynomial]
-
-    def apply(self, target: DiffPolynomial) -> DiffPolynomial:
-        acc: Dict[Monomial, object] = {}
-        for k, poly in sorted(self.coeffs.items()):
-            for m, coeff in (poly * target.d_x(k)).terms.items():
-                accumulate(acc, m, coeff)
-        return DiffPolynomial(acc)
 
 
 # --- slow-time structure -----------------------------------------------------
@@ -412,17 +435,12 @@ def _resolve_leaf(
 
 
 def substitute_field(
-    poly: DiffPolynomial,
-    kind: str,
-    index: int,
-    value: DiffPolynomial,
-    rules: Optional[EvolutionRules] = None,
-    strict: bool = False,
+    poly: DiffPolynomial, kind: str, index: int, value: DiffPolynomial, rules: EvolutionRules
 ) -> DiffPolynomial:
     """Replace every occurrence of the field (any derivative order, any
     pending tags) by the corresponding derivative of `value`.  Pending
-    slow-time tags are pushed through `rules`; without rules a tagged
-    occurrence raises MissingEvolutionError."""
+    slow-time tags are pushed through `rules`; a field without a rule
+    becomes a tagged leaf."""
     acc: Dict[Monomial, object] = {}
     for mon, coeff in poly.terms.items():
         pieces = [DiffPolynomial({(): coeff})]
@@ -431,11 +449,7 @@ def substitute_field(
             if sym.kind == kind and sym.index == index:
                 sub = value
                 for t in sorted(sym.times, reverse=True):
-                    if rules is None:
-                        raise MissingEvolutionError(
-                            f"substituting tagged {sym.name()} requires evolution rules"
-                        )
-                    sub = time_derivative(sub, t, rules, strict)
+                    sub = time_derivative(sub, t, rules, strict=False)
                 pieces.append(sub.d_x(ell))
             else:
                 plain.append((sym, ell))

@@ -141,7 +141,7 @@ class CoeffField:
     specialisation of h.  Elements of different fields never mix.
     """
 
-    __slots__ = ("s", "h_value", "_radicand", "_zero", "_one", "_h", "_c")
+    __slots__ = ("s", "h_value", "_radicand", "zero", "one", "h", "c")
 
     def __init__(self, s: int, *, h_value: Optional[Fraction] = None):
         if s not in (0, 1):
@@ -161,10 +161,10 @@ class CoeffField:
             rad = RatFunc.from_fraction(1 - s * h_value * h_value)
             hval = RatFunc.from_fraction(h_value)
         object.__setattr__(self, "_radicand", rad)
-        object.__setattr__(self, "_zero", CoeffElement(self, _RAT_ZERO, _RAT_ZERO))
-        object.__setattr__(self, "_one", CoeffElement(self, _RAT_ONE, _RAT_ZERO))
-        object.__setattr__(self, "_h", CoeffElement(self, hval, _RAT_ZERO))
-        object.__setattr__(self, "_c", CoeffElement(self, _RAT_ZERO, _RAT_ONE))
+        object.__setattr__(self, "zero", CoeffElement(self, _RAT_ZERO, _RAT_ZERO))
+        object.__setattr__(self, "one", CoeffElement(self, _RAT_ONE, _RAT_ZERO))
+        object.__setattr__(self, "h", CoeffElement(self, hval, _RAT_ZERO))
+        object.__setattr__(self, "c", CoeffElement(self, _RAT_ZERO, _RAT_ONE))
 
     def __setattr__(self, *a):
         raise AttributeError("CoeffField is immutable")
@@ -186,30 +186,11 @@ class CoeffField:
     # --- constructors ----------------------------------------------------
 
     @property
-    def zero(self) -> "CoeffElement":
-        return self._zero
-
-    @property
-    def one(self) -> "CoeffElement":
-        return self._one
-
-    @property
-    def h(self) -> "CoeffElement":
-        return self._h
-
-    @property
-    def c(self) -> "CoeffElement":
-        return self._c
-
-    @property
     def c_squared(self) -> "CoeffElement":
         return CoeffElement(self, self._radicand, _RAT_ZERO)
 
     def from_fraction(self, q) -> "CoeffElement":
         return CoeffElement(self, RatFunc.from_fraction(Fraction(q)), _RAT_ZERO)
-
-    def from_int(self, k: int) -> "CoeffElement":
-        return self.from_fraction(Fraction(k))
 
     def coerce(self, x: ScalarLike) -> "CoeffElement":
         if isinstance(x, CoeffElement):

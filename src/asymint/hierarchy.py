@@ -59,9 +59,6 @@ class FlowHierarchy:
     def linearized(self, j: int, beta, kind: str, index: int) -> DiffPolynomial:
         """The j-th linearized flow applied to the correction field
         (kind, index): K_j' on a phi field, H_j' on a vphi field."""
-        if kind == "vphi":
-            op = self.kdv_flow(j, beta).frechet("vphi", 1)
-        else:
-            op = self.flow(j, beta).frechet("phi", 1)
-        return op.apply(DiffPolynomial.leaf(FieldSymbol(kind, index), 0, self.field.one))
-
+        flow = self.kdv_flow(j, beta) if kind == "vphi" else self.flow(j, beta)
+        target = DiffPolynomial.leaf(FieldSymbol(kind, index), 0, self.field.one)
+        return flow.linearize(kind, target)

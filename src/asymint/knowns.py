@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
 
-from .diffpoly import accumulate
+from .diffpoly import SparseSum, accumulate
 from .errors import InconsistentSystemError
 from .field import CoeffElement, CoeffField
 
@@ -20,19 +20,22 @@ PowKey = Tuple[Tuple[str, int], ...]  # sorted ((name, power), ...)
 ScalarLike = Union[int, Fraction, CoeffElement]
 
 
-def _mul_keys(a: PowKey, b: PowKey) -> PowKey:
-    acc: Dict[str, int] = {}
-    for name, p in a + b:
-        acc[name] = acc.get(name, 0) + p
-    return tuple(sorted(acc.items()))
+class KnownPoly(SparseSum):
+    __slots__ = ("field",)
 
-
-class KnownPoly:
-    __slots__ = ("field", "terms")
+    @staticmethod
+    def _mul_key(a: PowKey, b: PowKey) -> PowKey:
+        acc: Dict[str, int] = {}
+        for name, p in a + b:
+            acc[name] = acc.get(name, 0) + p
+        return tuple(sorted(acc.items()))
 
     def __init__(self, field: CoeffField, terms: Optional[Dict[PowKey, CoeffElement]] = None):
         self.field = field
         self.terms = terms if terms is not None else {}
+
+    def _like(self, terms: Dict[PowKey, CoeffElement]) -> "KnownPoly":
+        return KnownPoly(self.field, terms)
 
     # --- constructors -------------------------------------------------------
 
@@ -45,7 +48,8 @@ class KnownPoly:
     def symbol(cls, field: CoeffField, name: str) -> "KnownPoly":
         return cls(field, {((name, 1),): field.one})
 
-    def _lift(self, other) -> Optional["KnownPoly"]:
+    def _operand(self, other) -> Optional["KnownPoly"]:
+        """Scalars lift to constants; a KnownPoly over another field raises."""
         if isinstance(other, KnownPoly):
             if other.field != self.field:
                 raise ValueError("KnownPoly operands use different fields")
@@ -55,12 +59,6 @@ class KnownPoly:
         return None
 
     # --- predicates -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def is_constant(self) -> bool:
         return all(k == () for k in self.terms)
@@ -87,45 +85,16 @@ class KnownPoly:
     def __hash__(self) -> int:
         return hash((self.field, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
-    # --- ring operations --------------------------------------------------------
+    # --- ring operations: the scalar operand may stand on either side ----------
 
-    def __add__(self, other) -> "KnownPoly":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        acc = dict(self.terms)
-        for key, coeff in o.terms.items():
-            accumulate(acc, key, coeff)
-        return KnownPoly(self.field, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "KnownPoly":
-        return KnownPoly(self.field, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "KnownPoly":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+    __radd__ = SparseSum.__add__
+    __rmul__ = SparseSum.__mul__
 
     def __rsub__(self, other) -> "KnownPoly":
-        o = self._lift(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return o + (-self)
-
-    def __mul__(self, other) -> "KnownPoly":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        acc: Dict[PowKey, CoeffElement] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in o.terms.items():
-                accumulate(acc, _mul_keys(k1, k2), c1 * c2)
-        return KnownPoly(self.field, acc)
-
-    __rmul__ = __mul__
 
     # --- substitution / evaluation ------------------------------------------------
 

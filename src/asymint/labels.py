@@ -58,71 +58,64 @@ class LabeledBasis:
 
     def express(self, poly: DiffPolynomial) -> Dict[str, object]:
         """Coefficient-by-label map; GradingError on stray monomials."""
-        out: Dict[str, object] = {}
-        for m, coeff in poly.terms.items():
-            out[self.label_of(m)] = coeff
-        return out
-
-
-def _p(*fs):
-    return mono(*fs)
+        return {self.label_of(m): coeff for m, coeff in poly.terms.items()}
 
 
 T2_SECOND = LabeledBasis(
     "a", 6, "potential", 1,
     (
-        ("a1", _p(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1))),
-        ("a2", _p(("phi", 1, 1), ("phi", 1, 3))),
-        ("a3", _p(("phi", 1, 2), ("phi", 1, 2))),
+        ("a1", mono(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1))),
+        ("a2", mono(("phi", 1, 1), ("phi", 1, 3))),
+        ("a3", mono(("phi", 1, 2), ("phi", 1, 2))),
     ),
 )
 
 T3_SECOND = LabeledBasis(
     "b", 8, "potential", 1,
     (
-        ("b1", _p(("phi", 1, 1), ("phi", 1, 2), ("phi", 1, 2))),
-        ("b2", _p(("phi", 1, 1), ("phi", 1, 5))),
-        ("b3", _p(("phi", 1, 2), ("phi", 1, 4))),
-        ("b4", _p(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1))),
-        ("b5", _p(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 3))),
-        ("b6", _p(("phi", 1, 3), ("phi", 1, 3))),
+        ("b1", mono(("phi", 1, 1), ("phi", 1, 2), ("phi", 1, 2))),
+        ("b2", mono(("phi", 1, 1), ("phi", 1, 5))),
+        ("b3", mono(("phi", 1, 2), ("phi", 1, 4))),
+        ("b4", mono(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1))),
+        ("b5", mono(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 3))),
+        ("b6", mono(("phi", 1, 3), ("phi", 1, 3))),
     ),
 )
 
 T2_THIRD = LabeledBasis(
     "c", 8, "potential", 2,
     (
-        ("c1", _p(("phi", 1, 3), ("phi", 1, 3))),
-        ("c2", _p(("phi", 1, 2), ("phi", 1, 4))),
-        ("c3", _p(("phi", 1, 1), ("phi", 1, 5))),
-        ("c4", _p(("phi", 1, 1), ("phi", 1, 2), ("phi", 1, 2))),
-        ("c5", _p(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 3))),
-        ("c6", _p(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1))),
-        ("c7", _p(("phi", 1, 1), ("phi", 2, 3))),
-        ("c8", _p(("phi", 1, 2), ("phi", 2, 2))),
-        ("c9", _p(("phi", 1, 3), ("phi", 2, 1))),
-        ("c10", _p(("phi", 1, 1), ("phi", 1, 1), ("phi", 2, 1))),
-        ("c11", _p(("phi", 2, 1), ("phi", 2, 1))),
+        ("c1", mono(("phi", 1, 3), ("phi", 1, 3))),
+        ("c2", mono(("phi", 1, 2), ("phi", 1, 4))),
+        ("c3", mono(("phi", 1, 1), ("phi", 1, 5))),
+        ("c4", mono(("phi", 1, 1), ("phi", 1, 2), ("phi", 1, 2))),
+        ("c5", mono(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 3))),
+        ("c6", mono(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1))),
+        ("c7", mono(("phi", 1, 1), ("phi", 2, 3))),
+        ("c8", mono(("phi", 1, 2), ("phi", 2, 2))),
+        ("c9", mono(("phi", 1, 3), ("phi", 2, 1))),
+        ("c10", mono(("phi", 1, 1), ("phi", 1, 1), ("phi", 2, 1))),
+        ("c11", mono(("phi", 2, 1), ("phi", 2, 1))),
     ),
 )
 
 T2_THIRD_KDV = LabeledBasis(
     "d", 9, "kdv", 2,
     (
-        ("d1", _p(("vphi", 1, 2), ("vphi", 1, 3))),
-        ("d2", _p(("vphi", 1, 1), ("vphi", 1, 4))),
-        ("d3", _p(("vphi", 1, 0), ("vphi", 1, 5))),
-        ("d4", _p(("vphi", 1, 1), ("vphi", 1, 1), ("vphi", 1, 1))),
-        ("d5", _p(("vphi", 1, 0), ("vphi", 1, 1), ("vphi", 1, 2))),
-        ("d6", _p(("vphi", 1, 0), ("vphi", 1, 0), ("vphi", 1, 3))),
-        ("d7", _p(("vphi", 1, 0), ("vphi", 1, 0), ("vphi", 1, 0), ("vphi", 1, 1))),
-        ("d8", _p(("vphi", 1, 0), ("vphi", 2, 3))),
-        ("d9", _p(("vphi", 1, 1), ("vphi", 2, 2))),
-        ("d10", _p(("vphi", 1, 2), ("vphi", 2, 1))),
-        ("d11", _p(("vphi", 1, 3), ("vphi", 2, 0))),
-        ("d12", _p(("vphi", 1, 0), ("vphi", 1, 0), ("vphi", 2, 1))),
-        ("d13", _p(("vphi", 1, 0), ("vphi", 1, 1), ("vphi", 2, 0))),
-        ("d14", _p(("vphi", 2, 0), ("vphi", 2, 1))),
+        ("d1", mono(("vphi", 1, 2), ("vphi", 1, 3))),
+        ("d2", mono(("vphi", 1, 1), ("vphi", 1, 4))),
+        ("d3", mono(("vphi", 1, 0), ("vphi", 1, 5))),
+        ("d4", mono(("vphi", 1, 1), ("vphi", 1, 1), ("vphi", 1, 1))),
+        ("d5", mono(("vphi", 1, 0), ("vphi", 1, 1), ("vphi", 1, 2))),
+        ("d6", mono(("vphi", 1, 0), ("vphi", 1, 0), ("vphi", 1, 3))),
+        ("d7", mono(("vphi", 1, 0), ("vphi", 1, 0), ("vphi", 1, 0), ("vphi", 1, 1))),
+        ("d8", mono(("vphi", 1, 0), ("vphi", 2, 3))),
+        ("d9", mono(("vphi", 1, 1), ("vphi", 2, 2))),
+        ("d10", mono(("vphi", 1, 2), ("vphi", 2, 1))),
+        ("d11", mono(("vphi", 1, 3), ("vphi", 2, 0))),
+        ("d12", mono(("vphi", 1, 0), ("vphi", 1, 0), ("vphi", 2, 1))),
+        ("d13", mono(("vphi", 1, 0), ("vphi", 1, 1), ("vphi", 2, 0))),
+        ("d14", mono(("vphi", 2, 0), ("vphi", 2, 1))),
     ),
 )
 

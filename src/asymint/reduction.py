@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ._polyops import sign_on_open_unit_interval
@@ -33,6 +34,7 @@ from .diffpoly import (
     DiffPolynomial,
     EvolutionRules,
     FieldSymbol,
+    SparseSum,
     accumulate,
     mono,
     monomial_text,
@@ -57,53 +59,50 @@ _TAU = FieldSymbol("tau", 1)
 # --- truncated eps-series ------------------------------------------------------
 
 
-class EpsSeries:
+class EpsSeries(SparseSum):
     """Map eps-power -> differential polynomial, truncated at a fixed order."""
 
-    __slots__ = ("limit", "orders")
+    __slots__ = ("limit",)
 
-    def __init__(self, limit: int, orders: Optional[Dict[int, DiffPolynomial]] = None):
+    def __init__(self, limit: int, terms: Optional[Dict[int, DiffPolynomial]] = None):
         self.limit = limit
-        self.orders: Dict[int, DiffPolynomial] = {}
-        if orders:
-            for k, poly in orders.items():
+        self.terms: Dict[int, DiffPolynomial] = {}
+        if terms:
+            for k, poly in terms.items():
                 if k <= limit and not poly.is_zero():
-                    self.orders[k] = poly
+                    self.terms[k] = poly
+
+    def _like(self, terms: Dict[int, DiffPolynomial]) -> "EpsSeries":
+        return EpsSeries(self.limit, terms)
 
     @classmethod
     def constant(cls, limit: int, coeff) -> "EpsSeries":
         return cls(limit, {0: DiffPolynomial.constant(coeff)})
 
     def get(self, k: int) -> DiffPolynomial:
-        return self.orders.get(k, DiffPolynomial.zero())
+        return self.terms.get(k, DiffPolynomial())
 
     def min_order(self) -> Optional[int]:
-        return min(self.orders) if self.orders else None
-
-    def __add__(self, other: "EpsSeries") -> "EpsSeries":
-        out = dict(self.orders)
-        for k, poly in other.orders.items():
-            accumulate(out, k, poly)
-        return EpsSeries(self.limit, out)
+        return min(self.terms) if self.terms else None
 
     def __sub__(self, other: "EpsSeries") -> "EpsSeries":
         return self + other.scale_all(-1)
 
     def __mul__(self, other: "EpsSeries") -> "EpsSeries":
         acc: Dict[int, DiffPolynomial] = {}
-        for i, p in self.orders.items():
-            for j, q in other.orders.items():
+        for i, p in self.terms.items():
+            for j, q in other.terms.items():
                 if i + j <= self.limit:
                     accumulate(acc, i + j, p * q)
         return EpsSeries(self.limit, acc)
 
     def scale_all(self, scalar) -> "EpsSeries":
         return EpsSeries(
-            self.limit, {k: poly.scale(scalar) for k, poly in self.orders.items()}
+            self.limit, {k: poly.scale(scalar) for k, poly in self.terms.items()}
         )
 
     def contains_kind(self, kind: str) -> bool:
-        return any(poly.contains_kind(kind) for poly in self.orders.values())
+        return any(poly.contains_kind(kind) for poly in self.terms.values())
 
 
 def expand_shifts(
@@ -114,7 +113,7 @@ def expand_shifts(
     phase baseline marker is site-independent."""
     limit = series.limit
     out = EpsSeries(limit)
-    for k, poly in series.orders.items():
+    for k, poly in series.terms.items():
         for m, coeff in poly.terms.items():
             acc = EpsSeries(limit, {k: DiffPolynomial.constant(coeff)})
             for sym, ell in m:
@@ -129,29 +128,22 @@ def _ladder(
     field = zeta.field
     if sym.kind == "tau":
         return EpsSeries(limit, {0: DiffPolynomial.leaf(sym, ell, field.one)})
-    orders = {}
+    terms = {}
     coeff = field.one
     step = zeta if direction > 0 else -zeta
     for j in range(limit + 1):
         if j:
             coeff = coeff * step * Fraction(1, j)
-        orders[j] = DiffPolynomial.leaf(sym, ell + j, coeff)
-    return EpsSeries(limit, orders)
+        terms[j] = DiffPolynomial.leaf(sym, ell + j, coeff)
+    return EpsSeries(limit, terms)
 
 
 _ANALYTIC: Dict[str, Callable[[int], Fraction]] = {
-    "sin": lambda j: Fraction((-1) ** (j // 2), _fact(j)) if j % 2 else Fraction(0),
-    "cos": lambda j: Fraction((-1) ** (j // 2), _fact(j)) if j % 2 == 0 else Fraction(0),
+    "sin": lambda j: Fraction((-1) ** (j // 2), factorial(j)) if j % 2 else Fraction(0),
+    "cos": lambda j: Fraction((-1) ** (j // 2), factorial(j)) if j % 2 == 0 else Fraction(0),
     "sqrt": lambda j: _sqrt_coeff(j),
     "recip": lambda j: Fraction((-1) ** j),
 }
-
-
-def _fact(j: int) -> int:
-    out = 1
-    for i in range(2, j + 1):
-        out *= i
-    return out
 
 
 def _sqrt_coeff(j: int) -> Fraction:
@@ -167,7 +159,7 @@ def expand_analytic(kind: str, arg: EpsSeries, field: CoeffField) -> EpsSeries:
     """Composition with sin/cos (argument vanishing at eps^0) or with
     sqrt/recip around 1 (argument's eps^0 part exactly the constant 1)."""
     if kind in ("sin", "cos"):
-        if arg.orders.get(0) is not None or arg.contains_kind("tau"):
+        if arg.terms.get(0) is not None or arg.contains_kind("tau"):
             raise ExpansionPointError(
                 f"{kind} argument must vanish at eps^0 with no phase baseline left"
             )
@@ -175,7 +167,7 @@ def expand_analytic(kind: str, arg: EpsSeries, field: CoeffField) -> EpsSeries:
     elif kind in ("sqrt", "recip"):
         if arg.get(0) != DiffPolynomial.constant(field.one) or arg.contains_kind("tau"):
             raise ExpansionPointError(f"{kind} argument must equal 1 at eps^0")
-        u = EpsSeries(arg.limit, {k: p for k, p in arg.orders.items() if k != 0})
+        u = EpsSeries(arg.limit, {k: p for k, p in arg.terms.items() if k != 0})
     else:
         raise ValueError(f"unknown analytic primitive {kind!r}")
     coeff_fn = _ANALYTIC[kind]
@@ -188,7 +180,7 @@ def expand_analytic(kind: str, arg: EpsSeries, field: CoeffField) -> EpsSeries:
         return out
     power = u
     j = 1
-    while power.orders and j * base <= arg.limit:
+    while power.terms and j * base <= arg.limit:
         aj = coeff_fn(j)
         if aj:
             out = out + power.scale_all(field.from_fraction(aj))
@@ -206,7 +198,7 @@ def lattice_residual_series(
     """Residuals (left minus right side) of the amplitude and phase
     equations on the expanded ansatz, per eps-order, for the nonlinearity
     sign sigma (+1 or -1)."""
-    sigma = field.from_int(sigma)
+    sigma = field.from_fraction(sigma)
     zeta = field.h
     inv_h2 = (field.h * field.h).inv()
     one = field.one
@@ -261,7 +253,7 @@ def lattice_residual_series(
     return dnu_dt - rhs_nu, dphi_dt - rhs_phi
 
 
-# --- report types ---------------------------------------------------------------
+# --- the report and its stages ---------------------------------------------------
 
 
 @dataclass
@@ -279,37 +271,23 @@ class Forcing:
     poly: DiffPolynomial
 
 
-@dataclass
 class ReductionReport:
-    s: int
-    order: int
-    variant: Optional[str]
-    dispersion: DispersionData
-    nu_solutions: Dict[int, DiffPolynomial]
-    alphas: Dict[int, CoeffElement]
-    betas: Dict[int, CoeffElement]
-    flows: Dict[str, DiffPolynomial]
-    rules: EvolutionRules
-    kdv_rules: Optional[EvolutionRules]
-    forcings: Dict[str, Forcing]
-    stage_log: List[str]
-    field: CoeffField
+    """The multiscale reduction of one lattice branch through eps^order.
 
-    def amplitude(self, i: int) -> DiffPolynomial:
-        """The i-th amplitude correction with every slow-time tag resolved
-        through the evolution rules, leaving a plain jet polynomial."""
-        return substitute_slow_times(self.nu_solutions[i], self.rules, strict=True)
+    Built on the field's residual series, after the dispersion is derived;
+    run_reduction drives the stage methods, which fill in the amplitude
+    corrections, the flow coefficients, the flows, the evolution rules, the
+    forcings and the stage log."""
 
-
-# --- the reduction driver --------------------------------------------------------
-
-
-class _Run:
     def __init__(self, field: CoeffField, order: int):
-        self.order = order
+        if not 3 <= order <= 10:
+            raise ValueError(f"the reduction runs through eps^3 to eps^10, got order {order}")
         self.field = field
+        self.s = field.s
+        self.order = order
+        self.dispersion = derive_dispersion(field.s)
         self.r_nu, self.r_phi = lattice_residual_series(field, 1, order)
-        self.rules = EvolutionRules(one=self.field.one)
+        self.rules = EvolutionRules(one=field.one)
         self.nu_solutions: Dict[int, DiffPolynomial] = {}
         self.alphas: Dict[int, CoeffElement] = {}
         self.betas: Dict[int, CoeffElement] = {}
@@ -318,14 +296,17 @@ class _Run:
         self.kdv_rules: Optional[EvolutionRules] = None
         self.variant: Optional[str] = None
         self.hier: Optional[FlowHierarchy] = None
-        self.log: List[str] = []
+        self.stage_log: List[str] = []
+
+    def amplitude(self, i: int) -> DiffPolynomial:
+        """The i-th amplitude correction with every slow-time tag resolved
+        through the evolution rules, leaving a plain jet polynomial."""
+        return substitute_slow_times(self.nu_solutions[i], self.rules, strict=True)
 
     # substitution of everything known so far
     def resolved(self, poly: DiffPolynomial) -> DiffPolynomial:
         for i in sorted(self.nu_solutions):
-            poly = substitute_field(
-                poly, "nu", i, self.nu_solutions[i], self.rules, strict=False
-            )
+            poly = substitute_field(poly, "nu", i, self.nu_solutions[i], self.rules)
         return substitute_slow_times(poly, self.rules, strict=False)
 
     def check_parity(self) -> None:
@@ -351,7 +332,7 @@ class _Run:
                 f"eps^{k}: amplitude correction {i} still references amplitudes"
             )
         self.nu_solutions[i] = value
-        self.log.append(f"eps^{k}: nu^({i}) eliminated ({len(value)} terms)")
+        self.stage_log.append(f"eps^{k}: nu^({i}) eliminated ({len(value)} terms)")
 
     def phase_residual(
         self, k: int, expect: Set[FieldSymbol]
@@ -392,7 +373,7 @@ class _Run:
             raise InconsistentSystemError(
                 f"eps^3: dispersion identity violated: {poly.text()}"
             )
-        self.log.append("eps^3: dispersion identity holds on the characteristic frame")
+        self.stage_log.append("eps^3: dispersion identity holds on the characteristic frame")
 
     def stage_t2(self) -> None:
         lam, known = self.phase_residual(5, {FieldSymbol("phi", 1, (2,))})
@@ -406,7 +387,7 @@ class _Run:
         self.hier = FlowHierarchy(alpha1, alpha2)
         self.flows["K2"] = flow2
         self.rules.set("phi", 1, 2, flow2)
-        self.log.append(
+        self.stage_log.append(
             f"eps^5: t2 flow; alpha1 = {alpha1.text()}, alpha2 = {alpha2.text()}"
         )
 
@@ -433,7 +414,7 @@ class _Run:
         self.rules.set("phi", 1, 3, flow3)
         self.rules.set("phi", 2, 2, rule)
         self.forcings["f_t2"] = forcing
-        self.log.append(
+        self.stage_log.append(
             f"eps^7: t3 flow and first forcing; beta3 = {beta3.text()}, "
             + ", ".join(f"{n} = {v.text()}" for n, v in sorted(forcing.coefficients.items()))
         )
@@ -453,7 +434,7 @@ class _Run:
         linear3 = self.hier.linearized(3, self.betas[3], "phi", 2)
         self.rules.set("phi", 2, 3, linear3 + forcing)
         self.forcings["f_t3"] = Forcing(T3_SECOND.space, b_values, forcing)
-        self.log.append(
+        self.stage_log.append(
             "eps^9 prep: t3 correction for phi^(2) fixed by cross-derivative identity"
         )
 
@@ -488,7 +469,7 @@ class _Run:
             self.flows["K4"] = self.hier.flow(4, beta4)
             self.kdv_rules = self._build_kdv_rules(rule)
             split = "derivative-field split"
-        self.log.append(
+        self.stage_log.append(
             f"eps^9: {split}; beta4 = {beta4.text()}, "
             f"{sum(1 for v in forcing.coefficients.values() if v)} forcing coefficients"
         )
@@ -509,7 +490,10 @@ class _Run:
             raise SecularResidueError(
                 f"{stage}: the {field} sector is not the linearized t2 flow"
             )
-        coeffs = _express(basis, other, stage)
+        try:
+            coeffs = basis.express(other)
+        except GradingError as exc:
+            raise SecularResidueError(f"{stage}: forcing outside its graded space: {exc}")
         return linear2 + other, Forcing(basis.space, coeffs, other)
 
     def _build_kdv_rules(self, third_rule: DiffPolynomial) -> EvolutionRules:
@@ -547,13 +531,6 @@ def _split_bare(
     if lam is None or lam.is_zero():
         raise InconsistentSystemError(f"{stage}: no linear term in {sym.name()}")
     return lam, DiffPolynomial(rest)
-
-
-def _express(basis: LabeledBasis, poly: DiffPolynomial, stage: str) -> Dict[str, CoeffElement]:
-    try:
-        return basis.express(poly)
-    except GradingError as exc:
-        raise SecularResidueError(f"{stage}: forcing outside its graded space: {exc}")
 
 
 # --- dispersion -----------------------------------------------------------------
@@ -617,37 +594,20 @@ def run_reduction(field: CoeffField, order: int = 9) -> ReductionReport:
     correction nu^(5), which no check verifies; an order outside 3..10
     (below the dispersion order, or from eps^11 on, where no solver stage
     exists) raises ValueError before any expansion work."""
-    if not 3 <= order <= 10:
-        raise ValueError(f"the reduction runs through eps^3 to eps^10, got order {order}")
-    dispersion = derive_dispersion(field.s)
-    run = _Run(field, order)
-    run.check_parity()
+    report = ReductionReport(field, order)
+    report.check_parity()
     stages: Dict[int, Callable[[], None]] = {
-        3: run.stage_dispersion,
-        5: run.stage_t2,
-        7: run.stage_t3,
-        9: run.stage_t4,
+        3: report.stage_dispersion,
+        5: report.stage_t2,
+        7: report.stage_t3,
+        9: report.stage_t4,
     }
-    run.log.append(f"eps^3: {dispersion.general_text} (sigma = +1 selected)")
+    report.stage_log.append(f"eps^3: {report.dispersion.general_text} (sigma = +1 selected)")
     for k in range(2, order + 1):
         if k % 2 == 0:
-            run.solve_amplitude(k)
+            report.solve_amplitude(k)
             if k == 8:
-                run.prepare_t3_correction()
+                report.prepare_t3_correction()
         else:
             stages[k]()
-    return ReductionReport(
-        s=field.s,
-        order=order,
-        variant=run.variant,
-        dispersion=dispersion,
-        nu_solutions=run.nu_solutions,
-        alphas=run.alphas,
-        betas=run.betas,
-        flows=run.flows,
-        rules=run.rules,
-        kdv_rules=run.kdv_rules,
-        forcings=run.forcings,
-        stage_log=run.log,
-        field=run.field,
-    )
+    return report

@@ -60,7 +60,7 @@ def _from_ast(field: CoeffField, node) -> CoeffElement:
             return field.c
         raise ValueError(f"unknown symbol {node.id!r}")
     if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return field.from_int(node.value)
+        return field.from_fraction(node.value)
     raise ValueError(f"unsupported syntax {type(node).__name__}")
 
 
@@ -93,11 +93,9 @@ def conjugate(x: CoeffElement) -> CoeffElement:
 # --- flows and profiles ------------------------------------------------------------
 
 
-def flow_commutator(
-    p: DiffPolynomial, q: DiffPolynomial, kind: str, index: int = 1
-) -> DiffPolynomial:
+def flow_commutator(p: DiffPolynomial, q: DiffPolynomial, kind: str) -> DiffPolynomial:
     """Lie bracket p'[q] - q'[p] of two evolutionary flows on one field."""
-    return p.frechet(kind, index).apply(q) - q.frechet(kind, index).apply(p)
+    return p.linearize(kind, q) - q.linearize(kind, p)
 
 
 def _scale(poly: SechPoly, value: CoeffElement) -> SechPoly:

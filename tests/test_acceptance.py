@@ -139,10 +139,10 @@ def test_criterion_04_hierarchy_fidelity(announce, engine):
                        rep.flows["K4"] == hier.flow(4, b4)))
 
         psi = DiffPolynomial.leaf(FieldSymbol("psi", 1), 0, f.one)
-        got = hier.flow(2, a1).frechet("phi", 1).apply(psi)
+        got = hier.flow(2, a1).linearize("phi", psi)
         checks.append((f"K2' display s={s}",
                        got == psi.d_x(3).scale(a1) + (dphi * psi.d_x()).scale(a2 * 2)))
-        got = hier.flow(3, b3).frechet("phi", 1).apply(psi)
+        got = hier.flow(3, b3).linearize("phi", psi)
         want = psi.d_x(5)
         want = want + (dphi * psi.d_x(3) + leaf(f, "phi", 1, 2) * psi.d_x(2)).scale(
             r * Fraction(10, 3))
@@ -160,11 +160,11 @@ def test_criterion_04_hierarchy_fidelity(announce, engine):
         checks.append((f"H3 display s={s}", hier.kdv_flow(3, b3) == want.scale(b3)))
 
         rho = DiffPolynomial.leaf(FieldSymbol("rho", 1), 0, f.one)
-        got = hier.kdv_flow(2, a1).frechet("vphi", 1).apply(rho)
+        got = hier.kdv_flow(2, a1).linearize("vphi", rho)
         checks.append((f"H2' display s={s}",
                        got == rho.d_x(3).scale(a1)
                        + (rho * u.d_x() + u * rho.d_x()).scale(a2 * 2)))
-        got = hier.kdv_flow(3, b3).frechet("vphi", 1).apply(rho)
+        got = hier.kdv_flow(3, b3).linearize("vphi", rho)
         want = rho.d_x(5)
         want = want + (u * rho.d_x(3) + (u.d_x() * rho.d_x(2)).scale(2)).scale(
             r * Fraction(10, 3))

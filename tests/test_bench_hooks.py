@@ -46,8 +46,9 @@ def test_tracer_patch_point_resolves(module, path):
 
 
 # Installs the tracer in a fresh interpreter (-B: no bytecode is written
-# beside it), then integrates 8 sites for 3 steps and solves the s = 1
-# order-7 commutation problem; prints the tracer's counters.
+# beside it), then integrates 8 sites for 3 steps, solves the s = 1 order-7
+# commutation problem and, with the counters cleared in between, runs the
+# s = 0 order-9 reduction; prints the tracer's counters after each op.
 SIZE_PROBE = """
 import contextlib, io, json, sys
 import numpy as np
@@ -57,10 +58,21 @@ tracer = Tracer()
 tracer.install()
 from asymint import cli, lattice
 lattice.integrate(lattice.LatticeState(np.ones(8, dtype=complex), 0.5), 0.01, 3, 1)
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    rc = cli.main(["check", "--s", "1", "--order", "7"])
-print(json.dumps({"rc": rc, "counts": tracer.counts}))
+ops = {"check7_s1": ["check", "--s", "1", "--order", "7"],
+       "reduce9_s0": ["reduce", "--s", "0", "--order", "9", "--h", "1/3"]}
+result = {}
+for key, argv in ops.items():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    result[key] = {"rc": rc, "counts": dict(tracer.counts)}
+    tracer.counts.clear()
+print(json.dumps(result))
 """
+
+# The exact scalar work of each op: every change to the algebra layers must
+# leave these counters equal to the benchmark's reference.
+SCALAR_WORK = ("polyops.pgcd.calls", "polyops.pgcd.const", "polyops.pgcd.unit",
+               "field.ratfunc_mul.calls")
 
 
 def test_tracer_size_hooks_read_the_call_shapes():
@@ -73,10 +85,15 @@ def test_tracer_size_hooks_read_the_call_shapes():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    counts = result["counts"]
-    assert result["rc"] == 0
+    counts = result["check7_s1"]["counts"]
+    assert all(op["rc"] == 0 for op in result.values())
     assert counts["lattice.rhs.calls"] == 12  # four per step
     assert counts["lattice.site_steps"] == 24
     assert counts["lattice.state_bytes"] == 128
     solve = [counts[f"compatibility.{key}"] for key in ("equations", "unknowns", "pivots")]
     assert solve == [9, 6, 6]
+    reference = json.loads((TRACER.parent / "reference" / "counts.json").read_text())
+    for key, op in result.items():
+        got = {name: op["counts"].get(name, 0) for name in SCALAR_WORK}
+        want = {name: reference[key]["counts"][name] for name in SCALAR_WORK}
+        assert got == want, key

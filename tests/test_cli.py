@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +185,44 @@ def test_unwritable_output_exits_one_without_artifact(
         assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
     else:
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--s", "0", "--order", "9", "--h", "2"], "h must lie in (0, 1), got 2"),
+    (["reduce", "--s", "0", "--order", "9", "--h", "0"], "h must lie in (0, 1), got 0"),
+    (["jordan", "--j", "2", "--omega", "3", "--max-i", "6", "--verify", "exp:3"],
+     "--verify expects poly:D"),
+], ids=["h-two", "h-zero", "verify-exp"])
+def test_bad_arguments_exit_one_before_any_work(capsys, monkeypatch, argv, message):
+    import asymint.cli as cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("computed before the arguments were checked")
+
+    for name in ("run_reduction", "error_scaling", "jordan_coefficients"):
+        monkeypatch.setattr(cli, name, boom)
+    monkeypatch.delenv("ASYMINT_CACHE_DIR", raising=False)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"asymint {argv[0]}: error: {message}"]
+
+
+def test_unstable_validation_prints_only_the_error_line():
+    # a fresh interpreter, since pytest would swallow numpy's RuntimeWarnings
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("ASYMINT_CACHE_DIR", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "asymint.cli",
+         "validate", "--s", "0", "--T", "0.001", "--dt", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("asymint validate: error: non-finite field"), err
 
 
 def test_cache_directory_reuses_the_artifact(capsys, monkeypatch, tmp_path):

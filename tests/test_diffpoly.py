@@ -38,7 +38,7 @@ def random_polys():
     return st.lists(term, max_size=4).map(
         lambda ts: sum(
             (DiffPolynomial({m: c}) for m, c in ts if c),
-            DiffPolynomial.zero(),
+            DiffPolynomial(),
         )
     )
 
@@ -57,7 +57,7 @@ def test_d_x_product_rule_frozen():
     # d((dphi)^2) = 2 dphi d2phi
     p = leaf(1) * leaf(1)
     assert p.d_x() == DiffPolynomial(
-        {mono(("phi", 1, 1), ("phi", 1, 2)): F.from_int(2)}
+        {mono(("phi", 1, 1), ("phi", 1, 2)): F.from_fraction(2)}
     )
 
 
@@ -91,12 +91,12 @@ def test_integrate_rejects_non_exact():
 
 def test_frechet_linearization():
     p = leaf(1) * leaf(1) * leaf(1)  # (dphi)^3
-    op = p.frechet("phi", 1)
-    assert set(op.coeffs) == {1}
-    assert op.coeffs[1] == (leaf(1) * leaf(1)).scale(3)
     psi = DiffPolynomial.leaf(FieldSymbol("psi", 1), 0, ONE)
-    applied = op.apply(psi)
+    applied = p.linearize("phi", psi)
     assert applied == (leaf(1) * leaf(1) * psi.d_x()).scale(3)
+    # one term per derivative order of the field: d(dphi d2phi) = d2phi psi' + dphi psi''
+    mixed = (leaf(1) * leaf(2)).linearize("phi", psi)
+    assert mixed == leaf(2) * psi.d_x() + leaf(1) * psi.d_x(2)
 
 
 def test_rename_to_kdv():
@@ -142,7 +142,7 @@ def test_paper_space_dimensions():
 
 
 def k2_rules():
-    alpha1, alpha2 = F.h, F.from_int(2)  # arbitrary nonzero stand-ins
+    alpha1, alpha2 = F.h, F.from_fraction(2)  # arbitrary nonzero stand-ins
     k2 = leaf(3).scale(alpha1) + (leaf(1) * leaf(1)).scale(alpha2)
     rules = EvolutionRules(one=ONE)
     rules.set("phi", 1, 2, k2)
@@ -195,7 +195,7 @@ def test_substitute_field_with_derivatives():
     p = DiffPolynomial.leaf(FieldSymbol("nu", 1), 0, ONE) * DiffPolynomial.leaf(
         FieldSymbol("nu", 1), 1, ONE
     )
-    got = substitute_field(p, "nu", 1, value)
+    got = substitute_field(p, "nu", 1, value, EvolutionRules(one=ONE))
     assert got == (leaf(1) * leaf(2)).scale(F.c * F.c)
 
 

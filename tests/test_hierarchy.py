@@ -68,11 +68,11 @@ def test_linearized_flows_match_displays():
         psi = DiffPolynomial.leaf(FieldSymbol("psi", 1), 0, F1.one)
         dphi = leaf(F1, "phi", 1, 1)
 
-        got2 = hier.flow(2, a1).frechet("phi", 1).apply(psi)
+        got2 = hier.flow(2, a1).linearize("phi", psi)
         want2 = psi.d_x(3).scale(a1) + (dphi * psi.d_x()).scale(a2 * 2)
         assert got2 == want2
 
-        got3 = hier.flow(3, b3).frechet("phi", 1).apply(psi)
+        got3 = hier.flow(3, b3).linearize("phi", psi)
         r = a2 / a1
         want3 = psi.d_x(5)
         want3 = want3 + (dphi * psi.d_x(3) + leaf(F1, "phi", 1, 2) * psi.d_x(2)).scale(
@@ -109,11 +109,11 @@ def test_linearized_kdv_flows_match_displays():
         u = leaf(F1, "vphi", 1, 0)
         r = a2 / a1
 
-        got2 = hier.kdv_flow(2, a1).frechet("vphi", 1).apply(rho)
+        got2 = hier.kdv_flow(2, a1).linearize("vphi", rho)
         want2 = rho.d_x(3).scale(a1) + (rho * u.d_x() + u * rho.d_x()).scale(a2 * 2)
         assert got2 == want2
 
-        got3 = hier.kdv_flow(3, b3).frechet("vphi", 1).apply(rho)
+        got3 = hier.kdv_flow(3, b3).linearize("vphi", rho)
         want3 = rho.d_x(5)
         want3 = want3 + (u * rho.d_x(3) + (u.d_x() * rho.d_x(2)).scale(2)).scale(
             r * Fraction(10, 3)

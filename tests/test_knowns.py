@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asymint.diffpoly import DiffPolynomial
 from asymint.errors import InconsistentSystemError
 from asymint.field import CoeffField
 from asymint.knowns import KnownPoly
+from asymint.lattice import SechPoly
 
 F = CoeffField(1)
 
@@ -56,7 +58,7 @@ def test_split_linear():
     a1, a2, b = sym("a1"), sym("a2"), sym("b1")
     p = a1 * 3 + a2 * F.c + b * b + 7
     lin, rest = p.split_linear(["a1", "a2"])
-    assert lin["a1"] == KnownPoly.constant(F, F.from_int(3))
+    assert lin["a1"] == KnownPoly.constant(F, F.from_fraction(3))
     assert lin["a2"] == KnownPoly.constant(F, F.c)
     assert rest == b * b + 7
     with pytest.raises(InconsistentSystemError):
@@ -70,15 +72,35 @@ def test_split_linear():
 def test_substitute_and_evaluate():
     a1, a2 = sym("a1"), sym("a2")
     p = a1 * a2 + a1 * 2
-    q = p.substitute({"a1": KnownPoly.constant(F, F.from_int(3))})
+    q = p.substitute({"a1": KnownPoly.constant(F, F.from_fraction(3))})
     assert q == a2 * 3 + 6
-    val = p.evaluate({"a1": F.from_int(3), "a2": F.c})
+    val = p.evaluate({"a1": F.from_fraction(3), "a2": F.c})
     assert val == F.c * 3 + 6
     with pytest.raises(KeyError):
-        p.evaluate({"a1": F.from_int(3)})
+        p.evaluate({"a1": F.from_fraction(3)})
 
 
 def test_degrees_and_text():
     a1, a2 = sym("a1"), sym("a2")
     p = a1 * a1 * a2 + a2
     assert "a1^2" in p.text()
+
+
+def test_sparse_sums_take_only_their_own_operands():
+    p = sym("a1") + KnownPoly.constant(F, 3)
+    poly = DiffPolynomial.constant(F.one)
+    with pytest.raises(TypeError):
+        poly + p
+    with pytest.raises(TypeError):
+        p + poly
+    with pytest.raises(TypeError):
+        SechPoly.basis(F, 1, 0) * poly
+    with pytest.raises(ValueError, match="different fields"):
+        p + KnownPoly.constant(CoeffField(0), 1)
+    # scalars lift to constants on either side
+    two = KnownPoly.constant(F, 2)
+    assert 2 * p == p * 2 == two * p
+    assert Fraction(1, 2) * p == p * F.from_fraction(Fraction(1, 2))
+    assert F.c + p == p + KnownPoly.constant(F, F.c)
+    assert p - 1 == sym("a1") + two
+    assert 1 - p == -(sym("a1") + two)

@@ -16,7 +16,7 @@ from asymint.field import CoeffField
 from asymint.hierarchy import FlowHierarchy
 from asymint import reduction
 from asymint.labels import T2_THIRD, T2_THIRD_KDV
-from asymint.reduction import EpsSeries, _Run, derive_dispersion, run_reduction
+from asymint.reduction import EpsSeries, ReductionReport, derive_dispersion, run_reduction
 
 from oracles import parse, specialize
 
@@ -68,7 +68,7 @@ def test_dispersion_forces_the_defocusing_sign():
         data = derive_dispersion(s)
         f = CoeffField(s)
         assert data.sigma == 1
-        assert data.c_squared == f.one - f.from_int(s) * f.h * f.h
+        assert data.c_squared == f.one - f.from_fraction(s) * f.h * f.h
         assert -1 in data.rejected and "not positive" in data.rejected[-1]
 
 
@@ -126,7 +126,7 @@ def test_t3_correction_satisfies_the_six_relations(engine):
         av = rep.forcings["f_t2"].coefficients
         A1, A2, A3 = av["a1"], av["a2"], av["a3"]
         got = rep.forcings["f_t3"].coefficients
-        five = f.from_int(5)
+        five = f.from_fraction(5)
         i1 = a1.inv()
         want = {
             "b1": five * b3 * (9 * A1 * a1 + 2 * (A2 + 3 * A3) * a2) * i1 * i1 * Fraction(1, 9),
@@ -184,7 +184,7 @@ def test_reduction_is_deterministic(engine):
 @pytest.mark.parametrize("kind, basis", [("phi", T2_THIRD), ("vphi", T2_THIRD_KDV)])
 def test_forcing_split_rejects_a_foreign_sector(engine, kind, basis):
     rep = engine(1, 5)
-    run = _Run(CoeffField(1), 5)
+    run = ReductionReport(CoeffField(1), 5)
     run.alphas[1] = rep.alphas[1]
     run.hier = FlowHierarchy(rep.alphas[1], rep.alphas[2])
     one = rep.field.one
@@ -200,8 +200,8 @@ def test_forcing_split_rejects_a_foreign_sector(engine, kind, basis):
 
 
 def test_phase_residual_needs_the_expected_unknowns_with_one_coefficient():
-    run = _Run(CoeffField(1), 5)
-    two = run.field.from_int(2)
+    run = ReductionReport(CoeffField(1), 5)
+    two = run.field.from_fraction(2)
     phi1_t2, phi2_t2 = FieldSymbol("phi", 1, (2,)), FieldSymbol("phi", 2, (2,))
     known = leaf(run.field, "phi", 1, 3)
 
