@@ -4,6 +4,12 @@ A polynomial in h with integer coefficients is an immutable tuple of ints in
 ascending degree order with no trailing zeros; the zero polynomial is the
 empty tuple.  These kernels underlie the scalar field and have no
 dependencies, so they are easy to test in isolation.
+
+A constant argument `(k,)` takes a fast path in `pgcd`, `pmul` and
+`pdivexact` that returns exactly the tuple the general path returns; most
+gcds of the elimination have a constant argument.  Callers reach `pgcd`
+through the module attribute (`P.pgcd`) at call time, because the benchmark
+counts its calls by patching that attribute.
 """
 
 from __future__ import annotations
@@ -51,12 +57,16 @@ def pneg(a: Poly) -> Poly:
 def pscale(a: Poly, k: int) -> Poly:
     if k == 0:
         return ZERO
-    return tuple(c * k for c in a)
+    return tuple([c * k for c in a])
 
 
 def pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ZERO
+    if len(a) == 1:
+        return b if a[0] == 1 else pscale(b, a[0])
+    if len(b) == 1:
+        return a if b[0] == 1 else pscale(a, b[0])
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
@@ -76,10 +86,7 @@ def peval(a: Poly, x: Fraction) -> Fraction:
 
 def pcontent(a: Poly) -> int:
     """Non-negative gcd of the coefficients (0 for the zero polynomial)."""
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    return g
+    return math.gcd(*a)
 
 
 def pprimitive(a: Poly) -> Tuple[int, Poly]:
@@ -88,7 +95,7 @@ def pprimitive(a: Poly) -> Tuple[int, Poly]:
     if not a:
         return 0, ZERO
     g = pcontent(a)
-    return g, tuple(c // g for c in a)
+    return g, a if g == 1 else tuple(c // g for c in a)
 
 
 def _poslead(a: Poly) -> Poly:
@@ -124,6 +131,12 @@ def pdivexact(a: Poly, b: Poly) -> Poly:
         raise ZeroDivisionError("division by zero polynomial")
     if not a:
         return ZERO
+    if len(b) == 1:
+        k = b[0]
+        for c in a:
+            if c % k:
+                raise ArithmeticError("inexact polynomial division")
+        return tuple([c // k for c in a])
     r = list(a)
     db, lb = pdegree(b), b[-1]
     if pdegree(a) < db:
@@ -148,6 +161,10 @@ def pgcd(a: Poly, b: Poly) -> Poly:
         return _poslead(b)
     if not b:
         return _poslead(a)
+    if len(a) == 1:
+        return (math.gcd(pcontent(b), a[0]),)
+    if len(b) == 1:
+        return (math.gcd(pcontent(a), b[0]),)
     ca, pa = pprimitive(a)
     cb, pb = pprimitive(b)
     c = math.gcd(ca, cb)

@@ -190,6 +190,10 @@ def _emit(key_parts: List[str], payload: Callable[[], dict], out: Optional[str])
 
 
 def _cmd_dims(args) -> int:
+    if args.degree < 0:
+        raise DomainError(f"--degree must be non-negative, got {args.degree}")
+    if args.max_field < 1:
+        raise DomainError(f"--max-field must be at least 1, got {args.max_field}")
     space = enumerate_basis(args.degree, args.grading, args.max_field)
     lines = [str(len(space))] + [monomial_text(m) for m in space]
     _write("\n".join(lines) + "\n", None)

@@ -90,15 +90,17 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if not self.num or not other.num:
+        n1, n2 = self.num, other.num
+        if not n1 or not n2:
             return _RAT_ZERO
+        d1, d2 = self.den, other.den
         # cross-cancel before multiplying to keep intermediates small
-        g1 = P.pgcd(self.num, other.den)
-        g2 = P.pgcd(other.num, self.den)
-        n1 = self.num if g1 == P.ONE else P.pdivexact(self.num, g1)
-        d2 = other.den if g1 == P.ONE else P.pdivexact(other.den, g1)
-        n2 = other.num if g2 == P.ONE else P.pdivexact(other.num, g2)
-        d1 = self.den if g2 == P.ONE else P.pdivexact(self.den, g2)
+        g1 = P.pgcd(n1, d2)
+        g2 = P.pgcd(n2, d1)
+        if g1 != P.ONE:
+            n1, d2 = P.pdivexact(n1, g1), P.pdivexact(d2, g1)
+        if g2 != P.ONE:
+            n2, d1 = P.pdivexact(n2, g2), P.pdivexact(d1, g2)
         num, den = P.pmul(n1, n2), P.pmul(d1, d2)
         if den[-1] < 0:
             num, den = P.pneg(num), P.pneg(den)

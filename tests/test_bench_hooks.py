@@ -1,12 +1,18 @@
-"""The benchmark's tracer patches asymint functions by name.
+"""The benchmark's tracer patches asymint functions by name, and its
+reference artifacts pin every byte the commands print.
 
 perfbench/tracer.py is read as source (nothing is written beside it) and
 every attribute it patches must exist, and the size hooks must read the
 arguments and results they expect, so a rename or a changed call shape in
-the package fails here and not only in a traced benchmark run.
+the package fails here and not only in a traced benchmark run.  The cheap
+benchmark ops, taken from perfbench/ops.py read the same way, must print
+artifacts whose sha256 equals perfbench/reference/sha256.json.
 """
 
+import contextlib
+import hashlib
 import importlib
+import io
 import json
 import os
 import runpy
@@ -17,6 +23,7 @@ from pathlib import Path
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+OPS = TRACER.parent / "ops.py"
 
 # patched by Tracer.install besides the SPANS entries
 EXTRA = [
@@ -97,3 +104,21 @@ def test_tracer_size_hooks_read_the_call_shapes():
         got = {name: op["counts"].get(name, 0) for name in SCALAR_WORK}
         want = {name: reference[key]["counts"][name] for name in SCALAR_WORK}
         assert got == want, key
+
+
+# The benchmark ops that take well under a second each.
+CHEAP_OPS = ["check7_s0", "check7_s1", "reduce9_s0", "reduce9_s1", "jordan"]
+
+
+@pytest.mark.parametrize("key", CHEAP_OPS)
+def test_cheap_benchmark_artifacts_match_the_reference_sha256(key, monkeypatch):
+    from asymint import cli
+
+    op = runpy.run_path(str(OPS))["OPS"][key]
+    monkeypatch.delenv("ASYMINT_CACHE_DIR", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(list(op.argv))
+    assert rc == op.exit
+    reference = json.loads((OPS.parent / "reference" / "sha256.json").read_text())
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == reference[key]

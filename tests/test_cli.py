@@ -192,14 +192,16 @@ def test_unwritable_output_exits_one_without_artifact(
     (["reduce", "--s", "0", "--order", "9", "--h", "0"], "h must lie in (0, 1), got 0"),
     (["jordan", "--j", "2", "--omega", "3", "--max-i", "6", "--verify", "exp:3"],
      "--verify expects poly:D"),
-], ids=["h-two", "h-zero", "verify-exp"])
+    (["dims", "--degree", "-1"], "--degree must be non-negative, got -1"),
+    (["dims", "--degree", "4", "--max-field", "0"], "--max-field must be at least 1, got 0"),
+], ids=["h-two", "h-zero", "verify-exp", "degree-negative", "max-field-zero"])
 def test_bad_arguments_exit_one_before_any_work(capsys, monkeypatch, argv, message):
     import asymint.cli as cli
 
     def boom(*args, **kwargs):
         raise AssertionError("computed before the arguments were checked")
 
-    for name in ("run_reduction", "error_scaling", "jordan_coefficients"):
+    for name in ("run_reduction", "error_scaling", "jordan_coefficients", "enumerate_basis"):
         monkeypatch.setattr(cli, name, boom)
     monkeypatch.delenv("ASYMINT_CACHE_DIR", raising=False)
     assert main(argv) == 1

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from asymint import _polyops as P
 
@@ -22,6 +22,10 @@ def test_arithmetic_known_values():
     a, b = (1, 2), (3, 0, 4)  # 1 + 2h, 3 + 4h^2
     assert P.padd(a, b) == (4, 2, 4)
     assert P.pmul(a, b) == (3, 6, 4, 8)
+    assert P.pmul((1,), b) == b
+    assert P.pmul(a, (-3,)) == (-3, -6)
+    assert P.pcontent((-4, 6)) == 2 and P.pcontent(()) == 0
+    assert P.pprimitive((-4, 6)) == (2, (-2, 3))
     assert P.peval(P.pmul(a, b), Fraction(1, 2)) == Fraction(1 + 1) * Fraction(4)
 
 
@@ -33,6 +37,16 @@ def test_divexact_and_gcd():
     # gcd includes integer content and has a positive leading coefficient
     assert P.pgcd((6, 0, -6), (4, 4)) == (2, 2)
     assert P.pgcd((), (0, -3)) == (0, 3)
+    # a constant on either side: the integer gcd with the other's content
+    big = 2**70
+    assert P.pgcd((-6,), (4, 8, -2)) == (2,)
+    assert P.pgcd((0, 6, 9), (-12,)) == (3,)
+    assert P.pgcd((3 * big,), (big,)) == (big,)
+    assert P.pdivexact((3 * big, -big), (-big,)) == (-3, 1)
+    with pytest.raises(ArithmeticError):
+        P.pdivexact((4, 6), (4,))
+    with pytest.raises(ZeroDivisionError):
+        P.pdivexact((3,), ())
 
 
 @given(polys, polys, polys)
@@ -81,3 +95,71 @@ def test_pstr_ascending_display():
     assert P.pstr(()) == "0"
     assert P.pstr((0, -1)) == "-h"
     assert P.pstr((0, 0, 1)) == "h^2"
+
+
+# --- sympy oracle: Poly over ZZ, on constant and non-constant arguments ----------
+
+# coefficients small, negative and above 2^64 in magnitude
+coeffs = st.one_of(st.integers(-30, 30), st.integers(2**64, 2**70), st.integers(-2**70, -2**64))
+constants = st.one_of(coeffs, st.just(1), st.just(-1)).filter(bool).map(lambda k: (k,))
+operands = st.one_of(
+    constants,
+    st.just(P.ZERO),
+    st.lists(coeffs, max_size=5).map(P.pnormalize),
+    # a shared factor, so that gcds and exact quotients are not all trivial
+    st.tuples(st.lists(coeffs, min_size=1, max_size=3), st.sampled_from([(1, 1), (-2, 0, 3)]))
+    .map(lambda pair: P.pmul(P.pnormalize(pair[0]), pair[1])),
+)
+
+
+def sympy_poly(a):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly.from_list(list(reversed(a)) or [0], sympy.Symbol("h"), domain=sympy.ZZ)
+
+
+def from_sympy(p):
+    return P.pnormalize(int(c) for c in reversed(p.all_coeffs()))
+
+
+@given(operands, operands)
+@settings(deadline=None)  # the first call imports sympy
+def test_gcd_matches_sympy(a, b):
+    # content included, positive leading coefficient, in either argument order
+    want = from_sympy(sympy_poly(a).gcd(sympy_poly(b)))
+    assert P.pgcd(a, b) == want
+    assert P.pgcd(b, a) == want
+
+
+@given(operands, operands)
+@settings(deadline=None)  # the first call imports sympy
+def test_mul_matches_sympy(a, b):
+    assert P.pmul(a, b) == from_sympy(sympy_poly(a) * sympy_poly(b))
+    assert P.pmul(b, a) == P.pmul(a, b)
+
+
+@given(operands)
+@settings(deadline=None)  # the first call imports sympy
+def test_content_and_primitive_part_match_sympy(a):
+    content, primitive = sympy_poly(a).primitive()
+    assert P.pcontent(a) == int(content)
+    assert P.pprimitive(a) == (int(content), from_sympy(primitive))
+
+
+@given(operands, operands)
+@settings(deadline=None)  # the first call imports sympy
+def test_exact_quotient_matches_sympy(a, b):
+    ExactQuotientFailed = pytest.importorskip("sympy.polys.polyerrors").ExactQuotientFailed
+    if not b:
+        with pytest.raises(ZeroDivisionError):
+            P.pdivexact(a, b)
+        return
+    product = P.pmul(a, b)
+    assert P.pdivexact(product, b) == from_sympy(sympy_poly(product).exquo(sympy_poly(b)))
+    try:
+        want = from_sympy(sympy_poly(a).exquo(sympy_poly(b), auto=False))
+    except ExactQuotientFailed:
+        with pytest.raises(ArithmeticError):
+            P.pdivexact(a, b)
+    else:
+        assert P.pdivexact(a, b) == want
+
