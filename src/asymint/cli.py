@@ -36,10 +36,11 @@ CACHE_ENV = "ASYMINT_CACHE_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the documented usage exit code."""
+    """argparse with the documented usage exit code and one error line: a
+    rejected argument writes only `asymint <command>: error: <message>` to
+    stderr, without the usage block, and exits 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 

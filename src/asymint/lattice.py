@@ -19,6 +19,10 @@ speed come out of the resulting two-term linear conditions.  A small constant
 background, fixed by the window length, closes the profile periodically; it
 shifts the traveling speed and adds a uniform phase drift, both derived from
 the same solve.
+
+numpy loads on the first numeric call, not with the module: only the
+`validate` command integrates arrays, so the symbolic commands, which import
+this module through the command line, never pay for importing it.
 """
 
 from __future__ import annotations
@@ -26,14 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .diffpoly import DiffPolynomial, SparseSum, accumulate
 from .errors import DomainError, StabilityError
 from .field import CoeffElement, CoeffField
 from .reduction import ReductionReport, run_reduction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -52,6 +57,8 @@ def rhs(state: LatticeState, s: int) -> np.ndarray:
 
     with lap_n = f_{n+1} - 2 f_n + f_{n-1}, built from slices (the two end
     sites wrap around) and evaluated in place on one fresh result array."""
+    import numpy as np
+
     f = state.values
     n = len(f)
     mod = np.square(f.real)
@@ -81,6 +88,8 @@ def integrate(state: LatticeState, dt: float, steps: int, s: int) -> LatticeStat
         raise DomainError(f"the step dt must be positive and finite, got {dt}")
     if steps < 0:
         raise DomainError(f"the step count must not be negative, got {steps}")
+    import numpy as np
+
     out = LatticeState(state.values.astype(complex), state.h, state.time)
     y = out.values
     stage = LatticeState(np.empty_like(y), state.h)
@@ -251,6 +260,8 @@ class ProfileBuilder:
         """The multiscale field at lattice time t: profile advanced by the
         second flow in its slow time, carried along the frame, on top of the
         constant orbit."""
+        import numpy as np
+
         eps, rep = self.epsilon, self.report
         if eps == 0:
             values = np.full(self.window, np.exp(-1j * t), dtype=complex)
@@ -283,6 +294,8 @@ class ProfileBuilder:
         return LatticeState(values.astype(complex), h, t)
 
     def _poly(self, poly: DiffPolynomial, jets: Dict[int, np.ndarray], h: float) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros(self.window)
         for m, coeff in poly.terms.items():
             term = np.full(self.window, coeff.eval_float(h))
@@ -314,6 +327,8 @@ class ScalingResult:
 
 
 def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    import numpy as np
+
     lx = np.log(np.asarray(xs))
     ly = np.log(np.asarray(ys))
     A = np.vstack([lx, np.ones_like(lx)]).T
@@ -339,6 +354,8 @@ def error_scaling(
         raise DomainError("the lattice spacing h must lie in (0, 1)")
     if not (0 < T < math.inf and 0 < dt < math.inf):
         raise DomainError("the horizon T and the step dt must be positive and finite")
+    import numpy as np
+
     report = run_reduction(CoeffField(s), order=5)
     rows: List[ScalingRow] = []
     for eps in eps_list:

@@ -115,12 +115,20 @@ def test_validate_writes_csv_with_slope_on_last_row(capsys, tmp_path):
 
 
 def test_usage_errors_exit_one(capsys):
-    assert main(["check", "--s", "1"]) == 1
-    assert main(["frobnicate"]) == 1
-    assert main(["validate", "--s", "0", "--eps", "not,numbers"]) == 1
-    # too few epsilons for a slope: a domain error, reported as usage
-    assert main(["validate", "--s", "0", "--eps", "0.2,0.1"]) == 1
-    capsys.readouterr()
+    cases = [
+        (["check", "--s", "1"], "asymint check: error: the following arguments are required"),
+        (["check", "--s", "2", "--order", "7"], "asymint check: error: argument --s: invalid choice"),
+        (["frobnicate"], "asymint: error: argument command: invalid choice"),
+        (["validate", "--s", "0", "--eps", "not,numbers"], "asymint validate: error: argument --eps"),
+        # too few epsilons for a slope: a domain error, reported as usage
+        (["validate", "--s", "0", "--eps", "0.2,0.1"], "asymint validate: error: need at least three"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message), err
 
 
 def test_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
@@ -210,21 +218,49 @@ def test_bad_arguments_exit_one_before_any_work(capsys, monkeypatch, argv, messa
     assert captured.err.splitlines() == [f"asymint {argv[0]}: error: {message}"]
 
 
-def test_unstable_validation_prints_only_the_error_line():
-    # a fresh interpreter, since pytest would swallow numpy's RuntimeWarnings
+def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    """Run `python -B <args>` on this checkout's sources, without an artifact cache."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items()
            if k not in ("ASYMINT_CACHE_DIR", "PYTHONWARNINGS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-B", "-m", "asymint.cli",
-         "validate", "--s", "0", "--T", "0.001", "--dt", "1"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-B", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_unstable_validation_prints_only_the_error_line():
+    # a fresh interpreter, since pytest would swallow numpy's RuntimeWarnings
+    proc = _fresh_interpreter("-m", "asymint.cli",
+                              "validate", "--s", "0", "--T", "0.001", "--dt", "1")
     assert proc.returncode == 1
     assert proc.stdout == ""
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("asymint validate: error: non-finite field"), err
+
+
+_MODULES_AFTER = """
+import contextlib, io, json, sys
+import asymint.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [asymint.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "lattice": "asymint.lattice" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("commands, numpy_loaded", [
+    ([["check", "--s", "1", "--order", "7"],
+      ["reduce", "--s", "0", "--order", "7", "--h", "1/3"],
+      ["jordan", "--j", "2", "--omega", "3", "--max-i", "6"],
+      ["dims", "--degree", "3"]], False),
+    ([["validate", "--s", "1", "--eps", "0.3,0.25,0.2", "--T", "0.001"]], True),
+], ids=["symbolic", "validate"])
+def test_only_validate_imports_numpy(commands, numpy_loaded):
+    # a fresh interpreter, since pytest itself may have imported numpy
+    proc = _fresh_interpreter("-c", _MODULES_AFTER, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == {"codes": [0] * len(commands), "numpy": numpy_loaded, "lattice": True}
 
 
 def test_cache_directory_reuses_the_artifact(capsys, monkeypatch, tmp_path):
