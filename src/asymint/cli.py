@@ -6,21 +6,20 @@ Timing goes to stderr only.  Exit codes: 0 on success, 2 when a
 commutation verdict is FAIL, 1 on usage errors, out-of-domain input or
 an unwritable output path or cache directory (found before any
 computation starts), with one error line on stderr.
+
+Start-up loads only what every command runs: `hashlib`, `tempfile` and
+`pathlib` are imported by the opt-in artifact cache alone, once CACHE_ENV
+names a directory, and numpy by the lattice code that `validate` runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import io
 import json
 import os
 import sys
-import tempfile
 import time
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from . import __version__
@@ -138,6 +137,9 @@ def _json_text(payload: dict) -> str:
 def _source_digest() -> str:
     """sha256 of the package's Python sources, so an edited program never
     reads an artifact that another version of the code wrote."""
+    import hashlib
+    from pathlib import Path
+
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -153,6 +155,9 @@ def _cached(key_parts: List[str], build) -> str:
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return build()
+    import hashlib
+    import tempfile
+
     os.makedirs(cache_dir, exist_ok=True)
     digest = hashlib.sha256("|".join([_source_digest(), *key_parts]).encode()).hexdigest()[:24]
     path = os.path.join(cache_dir, f"asymint-{digest}.json")
@@ -318,18 +323,16 @@ def _cmd_jordan(args) -> int:
 def _cmd_validate(args) -> int:
     start = time.monotonic()
     result = error_scaling(args.s, args.h, args.eps, T=args.T, dt=args.dt)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["eps", "sup_error", "norm_drift", "slope"])
+    lines = ["eps,sup_error,norm_drift,slope"]
     for k, row in enumerate(result.rows):
         last = k == len(result.rows) - 1
-        writer.writerow([
+        lines.append(",".join([
             f"{row.epsilon:g}",
             f"{row.sup_error:.12e}",
             f"{row.norm_drift:.12e}",
             f"{result.slope:.6f}" if last else "",
-        ])
-    _write(buffer.getvalue(), args.out)
+        ]))
+    _write("\n".join(lines) + "\n", args.out)
     _stopwatch("validate", start)
     return 0
 

@@ -19,8 +19,7 @@ FAIL verdict always comes with the violated relation as a witness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diffpoly import (
     DiffPolynomial,
@@ -36,8 +35,7 @@ from .knowns import KnownPoly
 from .labels import NINTH_ORDER, T2_SECOND, T3_SECOND, LabeledBasis, generic_basis
 
 
-@dataclass
-class CompatibilityProblem:
+class CompatibilityProblem(NamedTuple):
     """One commutation problem: which field the condition is imposed on,
     the rules feeding both slow-time derivatives, and the labeled spaces of
     the known forcing and of the unknown ansatz."""
@@ -50,8 +48,7 @@ class CompatibilityProblem:
     evolution_rules: EvolutionRules
 
 
-@dataclass
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     variant: str
     solved_coefficients: Dict[str, KnownPoly]
     residual_constraints: List[KnownPoly]

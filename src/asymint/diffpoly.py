@@ -20,16 +20,15 @@ sums of the other modules (KnownPoly, SechPoly, EpsSeries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import GradingError, MissingEvolutionError, NonLocalError
 
 
-@dataclass(frozen=True, order=True)
-class FieldSymbol:
-    """One correction field, optionally carrying pending slow-time tags."""
+class FieldSymbol(NamedTuple):
+    """One correction field, optionally carrying pending slow-time tags.
+    Immutable; hashes, compares and sorts as its (kind, index, times) tuple."""
 
     kind: str
     index: int = 1
@@ -345,13 +344,15 @@ def _peel_key(m: Monomial) -> Tuple:
 # --- slow-time structure -----------------------------------------------------
 
 
-@dataclass
 class EvolutionRules:
     """Substitution table d_{t_m} X = rule(X, m), plus the scalar unit used
     to build fresh leaves."""
 
-    one: object
-    table: Dict[Tuple[str, int, int], DiffPolynomial] = dc_field(default_factory=dict)
+    __slots__ = ("one", "table")
+
+    def __init__(self, one: object):
+        self.one = one
+        self.table: Dict[Tuple[str, int, int], DiffPolynomial] = {}
 
     def get(self, sym: FieldSymbol, m: int) -> Optional[DiffPolynomial]:
         return self.table.get((sym.kind, sym.index, m))

@@ -13,11 +13,10 @@ multiscale expansion rests on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, InsufficientSamples
 
@@ -65,8 +64,7 @@ def stirling_second(k: int, j: int) -> int:
     return _second_row(k)[j]
 
 
-@dataclass(frozen=True)
-class JordanExpansion:
+class JordanExpansion(NamedTuple):
     """A coarse j-th difference written in fine differences: coefficients
     maps i to the Delta_fine^i coefficient, empty below i = j and cut at the
     slow-varying order when one is given."""

@@ -9,7 +9,6 @@ is part of the output contract and is frozen here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .diffpoly import DiffPolynomial, Monomial, enumerate_basis, mono, monomial_text
@@ -18,22 +17,22 @@ from .field import CoeffField
 from .knowns import KnownPoly
 
 
-@dataclass(frozen=True)
 class LabeledBasis:
-    """A graded monomial basis with one name per monomial, in display order."""
+    """A graded monomial basis with one name per monomial, in display order;
+    GradingError when the pairs do not enumerate the graded space."""
 
-    prefix: str
-    weight: int
-    grading: str
-    max_index: int
-    pairs: Tuple[Tuple[str, Monomial], ...]
+    __slots__ = ("prefix", "weight", "grading", "max_index", "pairs")
 
-    def __post_init__(self):
-        space = enumerate_basis(self.weight, self.grading, self.max_index)
-        if set(m for _, m in self.pairs) != set(space) or len(self.pairs) != len(space):
-            raise GradingError(
-                f"label table {self.prefix} does not enumerate the graded space"
-            )
+    def __init__(self, prefix: str, weight: int, grading: str, max_index: int,
+                 pairs: Tuple[Tuple[str, Monomial], ...]):
+        space = enumerate_basis(weight, grading, max_index)
+        if set(m for _, m in pairs) != set(space) or len(pairs) != len(space):
+            raise GradingError(f"label table {prefix} does not enumerate the graded space")
+        self.prefix = prefix
+        self.weight = weight
+        self.grading = grading
+        self.max_index = max_index
+        self.pairs = pairs
 
     @property
     def labels(self) -> Tuple[str, ...]:

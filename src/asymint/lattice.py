@@ -20,17 +20,17 @@ background, fixed by the window length, closes the profile periodically; it
 shifts the traveling speed and adds a uniform phase drift, both derived from
 the same solve.
 
-numpy loads on the first numeric call, not with the module: only the
-`validate` command integrates arrays, so the symbolic commands, which import
-this module through the command line, never pay for importing it.
+numpy loads on the first numeric call and `statistics` with the closed-form
+slope fit (no LAPACK), not with the module: only the `validate` command
+integrates arrays, so the symbolic commands, which import this module through
+the command line, never pay for importing them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diffpoly import DiffPolynomial, SparseSum, accumulate
 from .errors import DomainError, StabilityError
@@ -41,13 +41,15 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass
 class LatticeState:
     """Complex field on a periodic window of lattice sites."""
 
-    values: np.ndarray
-    h: float
-    time: float = 0.0
+    __slots__ = ("values", "h", "time")
+
+    def __init__(self, values: np.ndarray, h: float, time: float = 0.0):
+        self.values = values
+        self.h = h
+        self.time = time
 
 
 def rhs(state: LatticeState, s: int) -> np.ndarray:
@@ -186,8 +188,7 @@ def _substitute_flow(flow: DiffPolynomial, jets: Dict[int, SechPoly], field: Coe
     return out
 
 
-@dataclass(frozen=True)
-class SolitonData:
+class SolitonData(NamedTuple):
     """Solved traveling-wave data for the second flow: the derivative field
     is amplitude * sech^2(width * xi) and the profile moves at speed."""
 
@@ -313,27 +314,22 @@ class ProfileBuilder:
 # --- error scaling ------------------------------------------------------------------
 
 
-@dataclass
-class ScalingRow:
+class ScalingRow(NamedTuple):
     epsilon: float
     sup_error: float
     norm_drift: float
 
 
-@dataclass
-class ScalingResult:
+class ScalingResult(NamedTuple):
     rows: List[ScalingRow]
     slope: float
 
 
 def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    import numpy as np
+    """Least-squares slope of log y against log x, intercept free."""
+    from statistics import linear_regression
 
-    lx = np.log(np.asarray(xs))
-    ly = np.log(np.asarray(ys))
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    sol, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    return float(sol[0])
+    return linear_regression([math.log(x) for x in xs], [math.log(y) for y in ys]).slope
 
 
 def error_scaling(
@@ -354,16 +350,24 @@ def error_scaling(
         raise DomainError("the lattice spacing h must lie in (0, 1)")
     if not (0 < T < math.inf and 0 < dt < math.inf):
         raise DomainError("the horizon T and the step dt must be positive and finite")
+    runs = []
+    for eps in eps_list:
+        # eps * h and eps^3 may underflow to zero, the quotients overflow
+        cell, cube = float(WIDTH) * eps * h, eps**3
+        sites = 30.0 / cell if cell else math.inf
+        horizon = T / cube if cube else math.inf
+        steps = horizon / dt
+        if not (math.isfinite(sites) and math.isfinite(steps)):
+            raise DomainError(f"epsilon {eps:g} with h = {h:g}, T = {T:g} and dt = {dt:g}"
+                              " gives no finite window size and step count")
+        runs.append((eps, int(math.ceil(sites)), horizon, max(1, int(round(steps)))))
     import numpy as np
 
     report = run_reduction(CoeffField(s), order=5)
     rows: List[ScalingRow] = []
-    for eps in eps_list:
-        sites = int(math.ceil(30.0 / (float(WIDTH) * eps * h)))
+    for eps, sites, horizon, steps in runs:
         builder = ProfileBuilder(report, eps, sites)
         state = builder.state(h, 0.0)
-        horizon = T / eps**3
-        steps = max(1, int(round(horizon / dt)))
         norm0 = float(np.sum(np.abs(state.values) ** 2))
         final = integrate(state, horizon / steps, steps, s)
         predicted = builder.state(h, final.time)

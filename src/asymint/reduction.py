@@ -23,10 +23,9 @@ d^ell phi^(j) renamed to d^(ell-1) vphi^(j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ._polyops import sign_on_open_unit_interval
 from .compatibility import solve_t3_correction
@@ -256,16 +255,14 @@ def lattice_residual_series(
 # --- the report and its stages ---------------------------------------------------
 
 
-@dataclass
-class DispersionData:
+class DispersionData(NamedTuple):
     c_squared: CoeffElement
     sigma: int
     general_text: str
     rejected: Dict[int, str]
 
 
-@dataclass
-class Forcing:
+class Forcing(NamedTuple):
     space: str
     coefficients: Dict[str, CoeffElement]
     poly: DiffPolynomial

@@ -147,8 +147,12 @@ def test_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
     ["jordan", "--j", "1", "--omega", "0", "--max-i", "4"],
     ["validate", "--s", "1", "--eps", "0.2,0.2,0.2"],
     ["jordan", "--j", "2", "--omega", "3", "--max-i", "6", "--p", "-3"],
+    # positive inputs whose window size or step count overflows a float
+    ["validate", "--s", "0", "--eps", "0.3,0.2,1e-320"],
+    ["validate", "--s", "0", "--h", "1e-320"],
+    ["validate", "--s", "0", "--T", "1e308", "--dt", "1e-308"],
 ], ids=["dt-zero", "h-zero", "T-negative", "omega-negative", "omega-zero", "eps-repeated",
-        "p-negative"])
+        "p-negative", "window-overflow", "h-window-overflow", "step-overflow"])
 def test_out_of_domain_input_exits_one_without_artifact(capsys, tmp_path, argv):
     out_path = tmp_path / "artifact"
     assert main([*argv, "--out", str(out_path)]) == 1
@@ -244,10 +248,13 @@ import asymint.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [asymint.cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "lattice": "asymint.lattice" in sys.modules}))
+                  "lattice": "asymint.lattice" in sys.modules,
+                  "loaded": sorted(m for m in ("hashlib", "_hashlib", "dataclasses", "csv")
+                                   if m in sys.modules)}))
 """
 
 
+# hashlib serves the opt-in cache alone, and no command needs dataclasses or csv
 @pytest.mark.parametrize("commands, numpy_loaded", [
     ([["check", "--s", "1", "--order", "7"],
       ["reduce", "--s", "0", "--order", "7", "--h", "1/3"],
@@ -260,7 +267,8 @@ def test_only_validate_imports_numpy(commands, numpy_loaded):
     proc = _fresh_interpreter("-c", _MODULES_AFTER, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
-    assert loaded == {"codes": [0] * len(commands), "numpy": numpy_loaded, "lattice": True}
+    assert loaded == {"codes": [0] * len(commands), "numpy": numpy_loaded, "lattice": True,
+                      "loaded": []}
 
 
 def test_cache_directory_reuses_the_artifact(capsys, monkeypatch, tmp_path):

@@ -204,3 +204,17 @@ def test_sector_split_by_field_degree():
     assert p.part_of_degree("phi", 2, 0) == leaf(3) * leaf(1)
     assert p.part_of_degree("phi", 2, 1) == leaf(1) * leaf(1, index=2)
     assert p.part_of_degree("phi", 2, 2) == leaf(1, index=2) * leaf(2, index=2)
+
+
+def test_field_symbols_sort_as_their_tuples_and_are_immutable():
+    import random
+
+    symbols = [FieldSymbol(kind, index, times)
+               for kind in ("nu", "phi", "tau", "vphi")
+               for index in (1, 2, 3)
+               for times in ((), (2,), (2, 3), (3,))]
+    random.Random(5).shuffle(symbols)
+    as_tuples = sorted((s.kind, s.index, s.times) for s in symbols)
+    assert [(s.kind, s.index, s.times) for s in sorted(symbols)] == as_tuples
+    with pytest.raises(AttributeError):
+        PHI1.index = 2

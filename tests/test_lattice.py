@@ -17,6 +17,7 @@ from asymint.lattice import (
     LatticeState,
     ProfileBuilder,
     SolitonData,
+    _fit_slope,
     error_scaling,
     integrate,
     rhs,
@@ -32,6 +33,17 @@ def random_state(seed=7, sites=64):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=sites) + 1j * rng.normal(size=sites)
     return LatticeState(0.9 * values / np.max(np.abs(values)), H, 0.0)
+
+
+def test_fit_slope_matches_lstsq():
+    rng = np.random.default_rng(3)
+    for points in (3, 4, 5, 6):
+        for _ in range(20):
+            xs = rng.uniform(0.01, 0.3, size=points)
+            ys = rng.uniform(1e-9, 1.0, size=points)
+            A = np.vstack([np.log(xs), np.ones(points)]).T
+            expected = np.linalg.lstsq(A, np.log(ys), rcond=None)[0][0]
+            assert _fit_slope(list(xs), list(ys)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_rhs_equilibrium_and_zero():
