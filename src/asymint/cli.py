@@ -2,14 +2,17 @@
 
 Every artifact is deterministic: identical configuration produces
 byte-identical JSON/CSV output, so reports can be diffed and cached.
-Timing goes to stderr only.  Exit codes: 0 on success, 2 when a
-commutation verdict is FAIL, 1 on usage errors, out-of-domain input or
+Each command returns its artifact text and exit code; `main` alone writes
+the text to --out or stdout and then prints one `[<command>] N.NNs` timing
+line on stderr.  Exit codes: 0 on success, 2 when a commutation verdict
+is FAIL, 1 on usage errors, out-of-domain input, a run out of memory or
 an unwritable output path or cache directory (found before any
-computation starts), with one error line on stderr.
+computation starts), with one error line on stderr and no artifact.
 
 Start-up loads only what every command runs: `hashlib`, `tempfile` and
 `pathlib` are imported by the opt-in artifact cache alone, once CACHE_ENV
 names a directory, and numpy by the lattice code that `validate` runs.
+A cache entry is keyed by the source digest and every option but --out.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .compatibility import build_problem, solve_compatibility
@@ -73,14 +76,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--order", type=int, default=9)
     p.add_argument("--h", type=_fraction, default=None,
                    help="also evaluate every coefficient at this exact h")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("check", help="solve the commutation conditions at one order")
     p.add_argument("--s", type=int, choices=(0, 1), required=True)
     p.add_argument("--order", type=int, choices=(7, 9), required=True)
     p.add_argument("--symbolic-knowns", action="store_true",
                    help="keep the forcing labels symbolic in the solved output")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("jordan", help="re-expand a coarse difference in fine differences")
     p.add_argument("--j", type=int, required=True)
@@ -89,7 +90,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--verify", default=None, metavar="poly:D",
                    help="check the expansion on a degree-D polynomial sequence")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("validate", help="integrate the lattice and measure error scaling")
     p.add_argument("--s", type=int, choices=(0, 1), required=True)
@@ -97,12 +97,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=_eps_list, default=[0.2, 0.1, 0.05])
     p.add_argument("--T", type=float, default=0.1)
     p.add_argument("--dt", type=float, default=0.02)
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("proposition",
-                       help="full pipeline for both lattice branches at orders 7 and 9")
-    p.add_argument("--out", default=None)
-
+    sub.add_parser("proposition", help="full pipeline for both lattice branches at orders 7 and 9")
+    for name, p in sub.choices.items():
+        if name != "dims":
+            p.add_argument("--out", default=None)
     return parser
 
 
@@ -122,14 +121,6 @@ def _check_writable(out: Optional[str]) -> None:
         raise OSError(f"cannot write {out}")
 
 
-def _write(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -146,27 +137,28 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-def _cached(key_parts: List[str], build) -> str:
-    """Build the artifact text, reusing a cache file when the environment
-    names a cache directory.  The key includes the digest of the sources;
-    a new entry is written to a temporary file and then renamed into place,
-    so a reader never sees a partial one.  An unusable cache directory
-    fails before the build."""
+def _cached(args, payload: Callable[[], dict]) -> str:
+    """The JSON text of `payload()`, reused from a cache file when the
+    environment names a cache directory.  The key is the digest of the
+    sources plus every parsed argument but --out; a new entry is written to
+    a temporary file and then renamed into place, so a reader never sees a
+    partial one.  An unusable cache directory fails before the build."""
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
-        return build()
+        return _json_text(payload())
     import hashlib
     import tempfile
 
     os.makedirs(cache_dir, exist_ok=True)
-    digest = hashlib.sha256("|".join([_source_digest(), *key_parts]).encode()).hexdigest()[:24]
+    key = repr(sorted(item for item in vars(args).items() if item[0] != "out"))
+    digest = hashlib.sha256(f"{_source_digest()}|{key}".encode()).hexdigest()[:24]
     path = os.path.join(cache_dir, f"asymint-{digest}.json")
     if os.path.exists(path):
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     if not os.access(cache_dir, os.W_OK):
         raise OSError(f"cannot write the cache directory {cache_dir}")
-    text = build()
+    text = _json_text(payload())
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -178,32 +170,17 @@ def _cached(key_parts: List[str], build) -> str:
     return text
 
 
-def _stopwatch(label: str, start: float) -> None:
-    sys.stderr.write(f"[{label}] {time.monotonic() - start:.2f}s\n")
-
-
-def _emit(key_parts: List[str], payload: Callable[[], dict], out: Optional[str]) -> str:
-    """Build (or reuse) the JSON artifact of the command named by the first
-    key part, write it, time both on stderr, and return its text."""
-    start = time.monotonic()
-    text = _cached(key_parts, lambda: _json_text(payload()))
-    _write(text, out)
-    _stopwatch(key_parts[0], start)
-    return text
-
-
 # --- subcommands -----------------------------------------------------------------
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args) -> Tuple[str, int]:
     if args.degree < 0:
         raise DomainError(f"--degree must be non-negative, got {args.degree}")
     if args.max_field < 1:
         raise DomainError(f"--max-field must be at least 1, got {args.max_field}")
     space = enumerate_basis(args.degree, args.grading, args.max_field)
     lines = [str(len(space))] + [monomial_text(m) for m in space]
-    _write("\n".join(lines) + "\n", None)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 def _reduction_payload(s: int, order: int, h: Optional[Fraction]) -> dict:
@@ -244,15 +221,10 @@ def _reduction_payload(s: int, order: int, h: Optional[Fraction]) -> dict:
     return payload
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> Tuple[str, int]:
     if args.h is not None and not 0 < args.h < 1:
         raise DomainError(f"h must lie in (0, 1), got {args.h}")
-    _emit(
-        ["reduce", str(args.s), str(args.order), str(args.h)],
-        lambda: _reduction_payload(args.s, args.order, args.h),
-        args.out,
-    )
-    return 0
+    return _cached(args, lambda: _reduction_payload(args.s, args.order, args.h)), 0
 
 
 def _check_payload(s: int, order: int, symbolic: bool) -> dict:
@@ -279,16 +251,12 @@ def _check_payload(s: int, order: int, symbolic: bool) -> dict:
     }
 
 
-def _cmd_check(args) -> int:
-    text = _emit(
-        ["check", str(args.s), str(args.order), str(args.symbolic_knowns)],
-        lambda: _check_payload(args.s, args.order, args.symbolic_knowns),
-        args.out,
-    )
-    return 2 if json.loads(text)["verdict"] == "FAIL" else 0
+def _cmd_check(args) -> Tuple[str, int]:
+    text = _cached(args, lambda: _check_payload(args.s, args.order, args.symbolic_knowns))
+    return text, 2 if json.loads(text)["verdict"] == "FAIL" else 0
 
 
-def _cmd_jordan(args) -> int:
+def _cmd_jordan(args) -> Tuple[str, int]:
     degree = None
     if args.verify is not None:
         kind, _, rest = args.verify.partition(":")
@@ -316,12 +284,10 @@ def _cmd_jordan(args) -> int:
             "step": str(step),
             "residual": str(verify_on_sequence(exp, samples, step=step)),
         }
-    _write(_json_text(payload), args.out)
-    return 0
+    return _json_text(payload), 0
 
 
-def _cmd_validate(args) -> int:
-    start = time.monotonic()
+def _cmd_validate(args) -> Tuple[str, int]:
     result = error_scaling(args.s, args.h, args.eps, T=args.T, dt=args.dt)
     lines = ["eps,sup_error,norm_drift,slope"]
     for k, row in enumerate(result.rows):
@@ -332,9 +298,7 @@ def _cmd_validate(args) -> int:
             f"{row.norm_drift:.12e}",
             f"{result.slope:.6f}" if last else "",
         ]))
-    _write("\n".join(lines) + "\n", args.out)
-    _stopwatch("validate", start)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
 EXPECTED_PATTERN = {
@@ -369,9 +333,9 @@ def _proposition_payload() -> dict:
     }
 
 
-def _cmd_proposition(args) -> int:
-    text = _emit(["proposition"], _proposition_payload, args.out)
-    return 0 if json.loads(text)["reproduced"] else 2
+def _cmd_proposition(args) -> Tuple[str, int]:
+    text = _cached(args, _proposition_payload)
+    return text, 0 if json.loads(text)["reproduced"] else 2
 
 
 _COMMANDS = {
@@ -390,12 +354,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    out = getattr(args, "out", None)
     try:
-        _check_writable(getattr(args, "out", None))
-        return _COMMANDS[args.command](args)
-    except (AsymintError, ValueError, OSError) as exc:
-        sys.stderr.write(f"asymint {args.command}: error: {exc}\n")
+        _check_writable(out)
+        start = time.monotonic()
+        text, code = _COMMANDS[args.command](args)
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except (AsymintError, ValueError, OSError, MemoryError) as exc:
+        sys.stderr.write(f"asymint {args.command}: error: {str(exc) or type(exc).__name__}\n")
         return 1
+    sys.stderr.write(f"[{args.command}] {time.monotonic() - start:.2f}s\n")
+    return code
 
 
 if __name__ == "__main__":

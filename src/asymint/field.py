@@ -68,9 +68,6 @@ class RatFunc:
             and self.den == other.den
         )
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
     def __add__(self, other: "RatFunc") -> "RatFunc":
         if not self.num:
             return other
@@ -178,9 +175,6 @@ class CoeffField:
             and self.h_value == other.h_value
         )
 
-    def __hash__(self) -> int:
-        return hash((self.s, self.h_value))
-
     def __repr__(self) -> str:
         spec = "" if self.h_value is None else f", h={self.h_value}"
         return f"CoeffField(s={self.s}{spec})"
@@ -234,9 +228,6 @@ class CoeffElement:
             and self.even == other.even
             and self.odd == other.odd
         )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.even, self.odd))
 
     # --- ring operations ------------------------------------------------
 

@@ -82,9 +82,6 @@ class KnownPoly(SparseSum):
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.field, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
-
     # --- ring operations: the scalar operand may stand on either side ----------
 
     __radd__ = SparseSum.__add__

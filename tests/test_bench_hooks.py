@@ -6,7 +6,8 @@ every attribute it patches must exist, and the size hooks must read the
 arguments and results they expect, so a rename or a changed call shape in
 the package fails here and not only in a traced benchmark run.  The cheap
 benchmark ops, taken from perfbench/ops.py read the same way, must print
-artifacts whose sha256 equals perfbench/reference/sha256.json.
+artifacts whose sha256 equals perfbench/reference/sha256.json, and their
+traced span calls and counters must equal perfbench/reference/counts.json.
 """
 
 import contextlib
@@ -52,10 +53,13 @@ def test_tracer_patch_point_resolves(module, path):
     assert path == "ONE" or callable(target)
 
 
+# The benchmark ops that take well under a second each.
+CHEAP_OPS = ["check7_s0", "check7_s1", "reduce9_s0", "reduce9_s1", "jordan"]
+
 # Installs the tracer in a fresh interpreter (-B: no bytecode is written
-# beside it), then integrates 8 sites for 3 steps, solves the s = 1 order-7
-# commutation problem and, with the counters cleared in between, runs the
-# s = 0 order-9 reduction; prints the tracer's counters after each op.
+# beside it), integrates 8 sites for 3 steps, then runs each op of the
+# JSON argv map with the tracer's records cleared before it; prints the
+# integration's counters and each op's exit code, span calls and counters.
 SIZE_PROBE = """
 import contextlib, io, json, sys
 import numpy as np
@@ -65,49 +69,41 @@ tracer = Tracer()
 tracer.install()
 from asymint import cli, lattice
 lattice.integrate(lattice.LatticeState(np.ones(8, dtype=complex), 0.5), 0.01, 3, 1)
-ops = {"check7_s1": ["check", "--s", "1", "--order", "7"],
-       "reduce9_s0": ["reduce", "--s", "0", "--order", "9", "--h", "1/3"]}
-result = {}
-for key, argv in ops.items():
+result = {"integrate": dict(tracer.counts)}
+for key, argv in json.loads(sys.argv[2]).items():
+    for record in (tracer.spans, tracer.stack, tracer.counts, tracer.solves):
+        record.clear()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
-    result[key] = {"rc": rc, "counts": dict(tracer.counts)}
-    tracer.counts.clear()
+    trace = tracer.summary(0.0)
+    result[key] = {"rc": rc, "calls": trace["calls"], "counts": trace["counts"]}
 print(json.dumps(result))
 """
 
-# The exact scalar work of each op: every change to the algebra layers must
-# leave these counters equal to the benchmark's reference.
-SCALAR_WORK = ("polyops.pgcd.calls", "polyops.pgcd.const", "polyops.pgcd.unit",
-               "field.ratfunc_mul.calls")
-
 
 def test_tracer_size_hooks_read_the_call_shapes():
+    bench = runpy.run_path(str(OPS))
+    argvs = {key: list(bench["OPS"][key].argv) for key in CHEAP_OPS}
     src = str(TRACER.parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "ASYMINT_CACHE_DIR"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", SIZE_PROBE, str(TRACER.parent)],
+        [sys.executable, "-B", "-c", SIZE_PROBE, str(TRACER.parent), json.dumps(argvs)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    counts = result["check7_s1"]["counts"]
-    assert all(op["rc"] == 0 for op in result.values())
+    counts = result.pop("integrate")
     assert counts["lattice.rhs.calls"] == 12  # four per step
     assert counts["lattice.site_steps"] == 24
     assert counts["lattice.state_bytes"] == 128
+    counts = result["check7_s1"]["counts"]
     solve = [counts[f"compatibility.{key}"] for key in ("equations", "unknowns", "pivots")]
     assert solve == [9, 6, 6]
-    reference = json.loads((TRACER.parent / "reference" / "counts.json").read_text())
+    # every span call and counter of each op equals the benchmark's reference
     for key, op in result.items():
-        got = {name: op["counts"].get(name, 0) for name in SCALAR_WORK}
-        want = {name: reference[key]["counts"][name] for name in SCALAR_WORK}
-        assert got == want, key
-
-
-# The benchmark ops that take well under a second each.
-CHEAP_OPS = ["check7_s0", "check7_s1", "reduce9_s0", "reduce9_s1", "jordan"]
+        assert op["rc"] == bench["OPS"][key].exit, key
+        assert bench["check_counts"](key, op) == [], key
 
 
 @pytest.mark.parametrize("key", CHEAP_OPS)

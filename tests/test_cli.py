@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +116,38 @@ def test_validate_writes_csv_with_slope_on_last_row(capsys, tmp_path):
     assert float(sup) > 0 and float(drift) >= 0 and float(slope) != 0
 
 
+# one cheap argv per command; dims has no --out
+CONTRACT = [
+    ["dims", "--degree", "6"],
+    ["reduce", "--s", "1", "--order", "5"],
+    ["check", "--s", "1", "--order", "7"],
+    ["jordan", "--j", "1", "--omega", "2", "--max-i", "4", "--verify", "poly:4"],
+    ["validate", "--s", "1", "--eps", "0.3,0.25,0.2", "--T", "0.001"],
+]
+
+
+@pytest.mark.parametrize("argv", CONTRACT, ids=[argv[0] for argv in CONTRACT])
+def test_every_command_writes_its_artifact_then_one_timing_line(
+    capsys, monkeypatch, tmp_path, argv
+):
+    monkeypatch.delenv("ASYMINT_CACHE_DIR", raising=False)
+    timing = re.compile(rf"^\[{argv[0]}\] \d+\.\d\ds$")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and timing.match(err[0]), err
+    if argv[0] == "dims":
+        return
+    out_path = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out_path)]) == 0
+    again = capsys.readouterr()
+    assert again.out == ""
+    assert out_path.read_text(encoding="utf-8") == captured.out
+    err = again.err.splitlines()
+    assert len(err) == 1 and timing.match(err[0]), err
+
+
 def test_usage_errors_exit_one(capsys):
     cases = [
         (["check", "--s", "1"], "asymint check: error: the following arguments are required"),
@@ -222,14 +256,15 @@ def test_bad_arguments_exit_one_before_any_work(capsys, monkeypatch, argv, messa
     assert captured.err.splitlines() == [f"asymint {argv[0]}: error: {message}"]
 
 
-def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
-    """Run `python -B <args>` on this checkout's sources, without an artifact cache."""
+def _fresh_interpreter(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -B <args>` on this checkout's sources, without an artifact
+    cache; keyword arguments go to subprocess.run."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items()
            if k not in ("ASYMINT_CACHE_DIR", "PYTHONWARNINGS")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-B", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120, **kwargs)
 
 
 def test_unstable_validation_prints_only_the_error_line():
@@ -240,6 +275,38 @@ def test_unstable_validation_prints_only_the_error_line():
     assert proc.stdout == ""
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("asymint validate: error: non-finite field"), err
+
+
+def test_out_of_memory_exits_one_without_artifact(capsys, monkeypatch, tmp_path):
+    import asymint.cli as cli
+
+    # Python's own allocation failures carry no message; numpy's do
+    def too_large(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "error_scaling", too_large)
+    out_path = tmp_path / "table.csv"
+    assert main(["validate", "--s", "0", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["asymint validate: error: MemoryError"]
+    assert not out_path.exists()
+
+
+def _cap_address_space():
+    # 4 GiB: the 1e-12 spacing below asks numpy for hundreds of TiB at once
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+def test_a_window_too_large_to_allocate_prints_only_the_error_line():
+    proc = _fresh_interpreter("-m", "asymint.cli", "validate", "--s", "0", "--h", "1e-12",
+                              "--eps", "0.3,0.2,0.1", preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("asymint validate: error: Unable to allocate"), err
 
 
 _MODULES_AFTER = """
@@ -271,12 +338,23 @@ def test_only_validate_imports_numpy(commands, numpy_loaded):
                       "loaded": []}
 
 
+# each differs from the others in one option, so each needs its own entry
+CACHED = [
+    ["reduce", "--s", "1", "--order", "5"],
+    ["reduce", "--s", "1", "--order", "5", "--h", "1/2"],
+    ["check", "--s", "1", "--order", "7"],
+    ["check", "--s", "1", "--order", "7", "--symbolic-knowns"],
+]
+
+
 def test_cache_directory_reuses_the_artifact(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("ASYMINT_CACHE_DIR", raising=False)
+    uncached = [run(capsys, *argv) for argv in CACHED]
     cache = tmp_path / "cache"
     monkeypatch.setenv("ASYMINT_CACHE_DIR", str(cache))
-    code, out = run(capsys, "reduce", "--s", "1", "--order", "5")
-    assert code == 0
-    assert len(list(cache.iterdir())) == 1
+    for count, (argv, want) in enumerate(zip(CACHED, uncached), start=1):
+        assert run(capsys, *argv) == want
+        assert len(list(cache.iterdir())) == count
 
     # a second run must come from the cache, not a recomputation
     import asymint.cli as cli
@@ -285,9 +363,8 @@ def test_cache_directory_reuses_the_artifact(capsys, monkeypatch, tmp_path):
         raise AssertionError("cache miss")
 
     monkeypatch.setattr(cli, "run_reduction", boom)
-    code, again = run(capsys, "reduce", "--s", "1", "--order", "5")
-    assert code == 0
-    assert again == out
+    for argv, want in zip(CACHED, uncached):
+        assert run(capsys, *argv) == want
 
     # an entry written by sources with another digest is never served
     monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
