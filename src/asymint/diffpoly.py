@@ -58,22 +58,6 @@ def _sort_mono(factors: Iterable[Factor]) -> Monomial:
     return tuple(sorted(factors))
 
 
-def factor_weight(sym: FieldSymbol, ell: int, grading: str) -> int:
-    """Grading weight of d^ell X; GradingError when X is outside the graded
-    algebra for that variant."""
-    if sym.times:
-        raise GradingError(f"tagged symbol {sym.name()} is not gradable")
-    if grading == "potential":
-        if sym.kind != "phi" or ell < 1:
-            raise GradingError(f"D[{ell}]{{{sym.name()}}} is not a potential-grading factor")
-        return ell + 2 * sym.index - 1
-    if grading == "kdv":
-        if sym.kind != "vphi" or ell < 0:
-            raise GradingError(f"D[{ell}]{{{sym.name()}}} is not a kdv-grading factor")
-        return ell + 2 * sym.index
-    raise ValueError(f"unknown grading {grading!r}")
-
-
 def factor_text(sym: FieldSymbol, ell: int) -> str:
     return sym.name() if ell == 0 else f"D[{ell}]{{{sym.name()}}}"
 
@@ -469,17 +453,16 @@ def enumerate_basis(weight: int, grading: str, max_index: int) -> Tuple[Monomial
     """The ordered monomial basis of P_n^(r): every monomial of graded weight
     n with every field index <= r and at least two factors (a single factor
     is the secular term, not a forcing), in canonical order."""
+    # d^ell phi_j (ell >= 1) weighs ell + 2j - 1; d^ell vphi_j (ell >= 0) weighs ell + 2j
+    if grading not in ("potential", "kdv"):
+        raise ValueError(f"unknown grading {grading!r}")
+    kind, ell_min = ("phi", 1) if grading == "potential" else ("vphi", 0)
     factors: List[Tuple[Factor, int]] = []
     for j in range(1, max_index + 1):
-        ell_min = 1 if grading == "potential" else 0
         for ell in range(ell_min, weight + 1):
-            sym = FieldSymbol("phi" if grading == "potential" else "vphi", j)
-            try:
-                w = factor_weight(sym, ell, grading)
-            except GradingError:
-                continue
+            w = ell + 2 * j - ell_min
             if w <= weight:
-                factors.append(((sym, ell), w))
+                factors.append(((FieldSymbol(kind, j), ell), w))
     factors.sort()
     found: List[Monomial] = []
 

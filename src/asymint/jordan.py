@@ -1,67 +1,28 @@
 """Finite-difference dilation calculus.
 
-Differences on a coarse grid expand in differences on a fine grid through
-Stirling numbers: with omega the ratio of the two increments,
+Differences on a coarse grid expand in differences on a fine grid.  With
+omega the ratio of the two increments the coarse shift is (1+D)^omega in the
+fine difference symbol D, so
 
-    Delta_coarse^j f = sum_{i >= j} (j!/i!) sum_k omega^k s(i, k) S(k, j) Delta_fine^i f,
+    Delta_coarse^j f = sum_{i >= j} [D^i] ((1+D)^omega - 1)^j Delta_fine^i f.
 
-where s is the signed first kind (falling factorial expansion) and S the
-second kind.  On a sequence whose (p+1)-st difference vanishes, truncating the
-sum at i = p is exact; that truncation is the slow-varying condition the
-multiscale expansion rests on.
+The coefficients equal the Stirling form (j!/i!) sum_k omega^k s(i, k) S(k, j),
+s the signed first kind and S the second: put x = omega log(1+D) in
+(e^x - 1)^j / j! = sum_k S(k, j) x^k / k! and use
+log(1+D)^k / k! = sum_i s(i, k) D^i / i!.  On a sequence whose (p+1)-st
+difference vanishes, truncating the sum at i = p is exact; that truncation
+is the slow-varying condition the multiscale expansion rests on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, InsufficientSamples
 
 Rational = Union[int, Fraction]
-
-
-@lru_cache(maxsize=None)
-def _first_row(i: int) -> tuple:
-    # coefficients of x(x-1)...(x-i+1) in powers of x
-    if i == 0:
-        return (1,)
-    prev = _first_row(i - 1)
-    row = [0] * (i + 1)
-    for k, v in enumerate(prev):
-        row[k + 1] += v
-        row[k] -= (i - 1) * v
-    return tuple(row)
-
-
-@lru_cache(maxsize=None)
-def _second_row(k: int) -> tuple:
-    if k == 0:
-        return (1,)
-    prev = _second_row(k - 1)
-    row = [0] * (k + 1)
-    for j, v in enumerate(prev):
-        row[j] += j * v
-        if j + 1 <= k:
-            row[j + 1] += v
-    return tuple(row)
-
-
-def stirling_first(i: int, k: int) -> int:
-    """Signed first kind: the x^k coefficient of the falling factorial
-    x(x-1)...(x-i+1)."""
-    if not (0 <= k <= i):
-        raise IndexError(f"stirling_first needs 0 <= k <= i, got ({i}, {k})")
-    return _first_row(i)[k]
-
-
-def stirling_second(k: int, j: int) -> int:
-    """Second kind: partitions of a k-set into j nonempty blocks."""
-    if not (0 <= j <= k):
-        raise IndexError(f"stirling_second needs 0 <= j <= k, got ({k}, {j})")
-    return _second_row(k)[j]
 
 
 class JordanExpansion(NamedTuple):
@@ -90,13 +51,15 @@ def jordan_coefficients(
     if omega <= 0:
         raise DomainError("the increment ratio omega must be positive")
     top = max_i if p is None else min(max_i, p)
-    coefficients: Dict[int, Fraction] = {}
-    for i in range(j, top + 1):
-        total = Fraction(0)
-        for k in range(j, i + 1):
-            total += omega**k * stirling_first(i, k) * stirling_second(k, j)
-        coefficients[i] = Fraction(factorial(j), factorial(i)) * total
-    return JordanExpansion(j, omega, coefficients, p)
+    # binom[k] = binom(omega, k), the D^k coefficient of (1+D)^omega; the
+    # convolution skips k = 0, so it multiplies by (1+D)^omega - 1
+    binom = [Fraction(1)]
+    for k in range(1, top + 1):
+        binom.append(binom[-1] * (omega - k + 1) / k)
+    power = [Fraction(1)] + [Fraction(0)] * top
+    for _ in range(j):
+        power = [sum(power[a] * binom[i - a] for a in range(i)) for i in range(top + 1)]
+    return JordanExpansion(j, omega, {i: power[i] for i in range(j, top + 1)}, p)
 
 
 def _difference(samples: Sequence, base: int, order: int, stride: int):

@@ -249,8 +249,8 @@ class ProfileBuilder:
     """
 
     def __init__(self, report: ReductionReport, epsilon: float, window: int):
-        if not 0 <= epsilon <= 0.3:
-            raise DomainError("epsilon must lie in [0, 0.3]")
+        if not 0 < epsilon <= 0.3:
+            raise DomainError("epsilon must lie in (0, 0.3]")
         if window < 4:
             raise DomainError("window too small")
         self.report = report
@@ -264,9 +264,6 @@ class ProfileBuilder:
         import numpy as np
 
         eps, rep = self.epsilon, self.report
-        if eps == 0:
-            values = np.full(self.window, np.exp(-1j * t), dtype=complex)
-            return LatticeState(values, h, t)
         data = solve_soliton(rep.flows["K2"], rep.field, WIDTH)
         length = self.window * eps * h
         A = data.amplitude.eval_float(h)
@@ -303,10 +300,9 @@ class ProfileBuilder:
             for sym, ell in m:
                 if sym.times:
                     raise DomainError(f"unresolved slow-time tag {sym}")
-                if sym.kind == "phi" and sym.index == 1:
-                    term = term * jets[ell]
-                else:  # higher fields enter the profile as zero
-                    term = term * 0.0
+                if sym.kind != "phi" or sym.index != 1:
+                    raise DomainError(f"the profile carries only phi1, not {sym.name()}")
+                term = term * jets[ell]
             out = out + term
         return out
 

@@ -3,14 +3,19 @@
 None of these runs in a command, so they live beside the tests: a parser
 for the canonical coefficient text, the h-specialisation and the c -> -c
 involution of the scalar ring, the Lie bracket of two flows, the
-traveling-wave residual, and the graded weight of a monomial.
+traveling-wave residual, the graded weight of a factor and of a monomial
+(with the GradingError checks that say which factors are gradable), and the
+two Stirling triangles built by their recurrences.  The package computes
+the graded bases and the difference re-expansion in closed form, so these
+share no code with what they check.
 """
 
 import ast
 from fractions import Fraction
+from math import factorial
 
-from asymint.diffpoly import DiffPolynomial, Monomial, factor_weight
-from asymint.errors import ZeroInverse
+from asymint.diffpoly import DiffPolynomial, FieldSymbol, Monomial
+from asymint.errors import GradingError, ZeroInverse
 from asymint.field import CoeffElement, CoeffField, RatFunc
 from asymint.lattice import SechPoly, SolitonData, _soliton_parts
 
@@ -113,6 +118,76 @@ def soliton_residual(flow2: DiffPolynomial, field: CoeffField, data: SolitonData
     return total + drive
 
 
+# --- graded weights ----------------------------------------------------------------
+
+
+def factor_weight(sym: FieldSymbol, ell: int, grading: str) -> int:
+    """Grading weight of d^ell X; GradingError when X is outside the graded
+    algebra for that variant."""
+    if sym.times:
+        raise GradingError(f"tagged symbol {sym.name()} is not gradable")
+    if grading == "potential":
+        if sym.kind != "phi" or ell < 1:
+            raise GradingError(f"D[{ell}]{{{sym.name()}}} is not a potential-grading factor")
+        return ell + 2 * sym.index - 1
+    if grading == "kdv":
+        if sym.kind != "vphi" or ell < 0:
+            raise GradingError(f"D[{ell}]{{{sym.name()}}} is not a kdv-grading factor")
+        return ell + 2 * sym.index
+    raise ValueError(f"unknown grading {grading!r}")
+
+
 def monomial_weight(m: Monomial, grading: str) -> int:
     """Graded weight of a monomial: the sum of its factor weights."""
     return sum(factor_weight(sym, ell, grading) for sym, ell in m)
+
+
+# --- Stirling triangles ------------------------------------------------------------
+
+
+def _first_row(i: int) -> tuple:
+    # coefficients of x(x-1)...(x-i+1) in powers of x
+    row = (1,)
+    for n in range(i):
+        nxt = [0] * (n + 2)
+        for k, v in enumerate(row):
+            nxt[k + 1] += v
+            nxt[k] -= n * v
+        row = tuple(nxt)
+    return row
+
+
+def _second_row(k: int) -> tuple:
+    row = (1,)
+    for n in range(1, k + 1):
+        nxt = [0] * (n + 1)
+        for j, v in enumerate(row):
+            nxt[j] += j * v
+            nxt[j + 1] += v
+        row = tuple(nxt)
+    return row
+
+
+def stirling_first(i: int, k: int) -> int:
+    """Signed first kind: the x^k coefficient of the falling factorial
+    x(x-1)...(x-i+1)."""
+    if not (0 <= k <= i):
+        raise IndexError(f"stirling_first needs 0 <= k <= i, got ({i}, {k})")
+    return _first_row(i)[k]
+
+
+def stirling_second(k: int, j: int) -> int:
+    """Second kind: partitions of a k-set into j nonempty blocks."""
+    if not (0 <= j <= k):
+        raise IndexError(f"stirling_second needs 0 <= j <= k, got ({k}, {j})")
+    return _second_row(k)[j]
+
+
+def stirling_coefficients(j: int, omega: Fraction, top: int) -> dict:
+    """Coarse-to-fine re-expansion coefficients for i in [j, top] from the
+    Stirling form (j!/i!) sum_k omega^k s(i, k) S(k, j)."""
+    return {
+        i: Fraction(factorial(j), factorial(i))
+        * sum(omega**k * stirling_first(i, k) * stirling_second(k, j) for k in range(j, i + 1))
+        for i in range(j, top + 1)
+    }

@@ -138,6 +138,45 @@ def test_paper_space_dimensions():
     assert len(enumerate_basis(11, "kdv", 2)) == 31
 
 
+def brute_force_basis(weight, grading, max_index):
+    """Every monomial of the given graded weight with at least two factors,
+    grown one factor at a time from every field, index <= max_index and
+    derivative order <= weight; the oracle's weight drops the ungradable
+    factors (GradingError) and bounds the growth, as each factor weighs >= 1."""
+    candidates = [(FieldSymbol(kind, j), ell) for kind in ("phi", "vphi", "nu")
+                  for j in range(1, max_index + 1) for ell in range(weight + 1)]
+    seen, frontier = {()}, [()]
+    while frontier:
+        grown = []
+        for m in frontier:
+            for factor in candidates:
+                bigger = tuple(sorted(m + (factor,)))
+                try:
+                    w = monomial_weight(bigger, grading)
+                except GradingError:
+                    continue
+                if w <= weight and bigger not in seen:
+                    seen.add(bigger)
+                    grown.append(bigger)
+        frontier = grown
+    return sorted(m for m in seen
+                  if len(m) >= 2 and monomial_weight(m, grading) == weight)
+
+
+@pytest.mark.parametrize("grading", ["potential", "kdv"])
+def test_bases_match_a_brute_force_filter_by_the_oracle_weight(grading):
+    for max_index in range(4):
+        for weight in range(13):
+            assert list(enumerate_basis(weight, grading, max_index)) == \
+                brute_force_basis(weight, grading, max_index), (weight, max_index)
+
+
+@pytest.mark.parametrize("max_index", [0, 2])
+def test_unknown_grading_is_rejected(max_index):
+    with pytest.raises(ValueError):
+        enumerate_basis(6, "flat", max_index)
+
+
 # --- slow-time structure -------------------------------------------------------------
 
 

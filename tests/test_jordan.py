@@ -6,6 +6,9 @@ Independent oracles, written before the module:
     plain Fraction arithmetic and generalized binomials;
   * on polynomial sequences of degree <= p the slow-varying truncation at p
     is lossless, so the re-expansion reproduces the coarse difference exactly;
+  * the same coefficients from the Stirling form
+    (j!/i!) sum_k omega^k s(i, k) S(k, j), with the two triangles built by
+    their recurrences in tests/oracles.py;
   * the two Stirling triangles are inverse matrices.
 """
 
@@ -15,12 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asymint.errors import DomainError, InsufficientSamples
-from asymint.jordan import (
-    jordan_coefficients,
-    stirling_first,
-    stirling_second,
-    verify_on_sequence,
-)
+from asymint.jordan import jordan_coefficients, verify_on_sequence
+
+from oracles import stirling_coefficients, stirling_first, stirling_second
 
 
 def binomial(omega: Fraction, i: int) -> Fraction:
@@ -102,8 +102,13 @@ def test_doubling_expansion():
 def test_coefficients_match_power_series_oracle():
     for j in (1, 2, 3, 4):
         for omega in (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 2)):
-            exp = jordan_coefficients(j, omega, 8)
-            assert exp.coefficients == series_coefficients(j, omega, 8)
+            # p = 0 and p = j - 1 lie below j and leave no coefficient
+            for p in (None, 0, j - 1, j, j + 2, 8):
+                exp = jordan_coefficients(j, omega, 8, p=p)
+                top = 8 if p is None else min(8, p)
+                assert len(exp.coefficients) == max(0, top - j + 1)
+                assert exp.coefficients == series_coefficients(j, omega, top)
+                assert exp.coefficients == stirling_coefficients(j, omega, top)
 
 
 def test_exact_on_polynomial_sequences():

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from asymint.diffpoly import DiffPolynomial, FieldSymbol
 from asymint.errors import DomainError, StabilityError
 from asymint.lattice import (
     LatticeState,
@@ -138,11 +139,6 @@ def test_soliton_parameters_are_solved_from_the_flow(engine):
             assert soliton_residual(rep.flows["K2"], rep.field, doubled).terms
 
 
-def test_profile_at_zero_epsilon_is_the_background(engine):
-    state = ProfileBuilder(engine(1, 5), 0.0, 32).state(H, 0.0)
-    assert np.allclose(state.values, 1.0, atol=1e-15)
-
-
 def test_profile_amplitude_has_the_predicted_leading_size(engine):
     rep = engine(1, 5)
     data = solve_soliton(rep.flows["K2"], rep.field, Fraction(1))
@@ -209,8 +205,19 @@ def test_error_scaling_needs_three_points():
 
 
 def test_profile_domain_checks(engine):
+    for eps in (0.0, 0.5):
+        with pytest.raises(DomainError):
+            ProfileBuilder(engine(1, 5), eps, 400)
+
+
+def test_profile_rejects_a_field_it_does_not_carry(engine):
+    rep = engine(1, 5)
+    builder = ProfileBuilder(rep, 0.2, 32)
+    jets = {1: np.full(32, 2.0)}
+    carried = DiffPolynomial.leaf(FieldSymbol("phi", 1), 1, rep.field.one)
+    assert np.all(builder._poly(carried, jets, H) == 2.0)
     with pytest.raises(DomainError):
-        ProfileBuilder(engine(1, 5), 0.5, 400)
+        builder._poly(DiffPolynomial.leaf(FieldSymbol("phi", 2), 1, rep.field.one), jets, H)
 
 
 @pytest.mark.parametrize("dt, steps", [
