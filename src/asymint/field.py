@@ -190,7 +190,7 @@ class CoeffField:
 
     def coerce(self, x: ScalarLike) -> "CoeffElement":
         if isinstance(x, CoeffElement):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise ValueError("element belongs to a different CoeffField")
             return x
         if isinstance(x, (int, Fraction)):
@@ -217,7 +217,7 @@ class CoeffElement:
         return self.even.is_zero() and self.odd.is_zero()
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.even.num or self.odd.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -243,7 +243,7 @@ class CoeffElement:
         return None
 
     def __add__(self, other: ScalarLike) -> "CoeffElement":
-        o = self._lift(other)
+        o = other if type(other) is CoeffElement and other.field is self.field else self._lift(other)
         if o is None:
             return NotImplemented
         return CoeffElement(self.field, self.even + o.even, self.odd + o.odd)
@@ -266,7 +266,7 @@ class CoeffElement:
         return (-self) + o
 
     def __mul__(self, other: ScalarLike) -> "CoeffElement":
-        o = self._lift(other)
+        o = other if type(other) is CoeffElement and other.field is self.field else self._lift(other)
         if o is None:
             return NotImplemented
         r = self.field._radicand

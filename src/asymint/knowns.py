@@ -25,6 +25,8 @@ class KnownPoly(SparseSum):
 
     @staticmethod
     def _mul_key(a: PowKey, b: PowKey) -> PowKey:
+        if not a or not b:
+            return a or b
         acc: Dict[str, int] = {}
         for name, p in a + b:
             acc[name] = acc.get(name, 0) + p
@@ -51,7 +53,7 @@ class KnownPoly(SparseSum):
     def _operand(self, other) -> Optional["KnownPoly"]:
         """Scalars lift to constants; a KnownPoly over another field raises."""
         if isinstance(other, KnownPoly):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("KnownPoly operands use different fields")
             return other
         if isinstance(other, (int, Fraction, CoeffElement)):
@@ -96,18 +98,29 @@ class KnownPoly(SparseSum):
     # --- substitution / evaluation ------------------------------------------------
 
     def substitute(self, mapping: Mapping[str, "KnownPoly"]) -> "KnownPoly":
+        """Replace each mapped name by its polynomial.  Each term's product is
+        formed on plain term maps with the coefficient products, in order,
+        of `constant(coeff) * base * ...`, so the exact scalar work is
+        unchanged: an unmapped name still multiplies in as its symbol."""
+        field, mul_key = self.field, self._mul_key
         acc: Dict[PowKey, CoeffElement] = {}
         for key, coeff in self.terms.items():
-            term = KnownPoly.constant(self.field, coeff)
+            term = {(): coeff} if coeff else {}
             for name, power in key:
                 base = mapping.get(name)
                 if base is None:
-                    base = KnownPoly.symbol(self.field, name)
+                    factor = {((name, 1),): field.one}
+                else:
+                    factor = self._operand(base).terms
                 for _ in range(power):
-                    term = term * base
-            for k, c in term.terms.items():
+                    prod: Dict[PowKey, CoeffElement] = {}
+                    for k1, c1 in term.items():
+                        for k2, c2 in factor.items():
+                            accumulate(prod, mul_key(k1, k2), c1 * c2)
+                    term = prod
+            for k, c in term.items():
                 accumulate(acc, k, c)
-        return KnownPoly(self.field, acc)
+        return KnownPoly(field, acc)
 
     def evaluate(self, values: Mapping[str, CoeffElement]) -> CoeffElement:
         total = self.field.zero

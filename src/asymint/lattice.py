@@ -302,6 +302,8 @@ class ProfileBuilder:
                     raise DomainError(f"unresolved slow-time tag {sym}")
                 if sym.kind != "phi" or sym.index != 1:
                     raise DomainError(f"the profile carries only phi1, not {sym.name()}")
+                if ell not in jets:
+                    raise DomainError(f"the profile carries no x-derivative of phi1 of order {ell}")
                 term = term * jets[ell]
             out = out + term
         return out

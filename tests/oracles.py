@@ -4,19 +4,22 @@ None of these runs in a command, so they live beside the tests: a parser
 for the canonical coefficient text, the h-specialisation and the c -> -c
 involution of the scalar ring, the Lie bracket of two flows, the
 traveling-wave residual, the graded weight of a factor and of a monomial
-(with the GradingError checks that say which factors are gradable), and the
-two Stirling triangles built by their recurrences.  The package computes
-the graded bases and the difference re-expansion in closed form, so these
-share no code with what they check.
+(with the GradingError checks that say which factors are gradable), the
+two Stirling triangles built by their recurrences, and the substitution of
+names in a KnownPoly through its ring operations.  The package computes
+the graded bases and the difference re-expansion in closed form, and
+substitutes on plain term maps, so these share no code with what they
+check.
 """
 
 import ast
 from fractions import Fraction
 from math import factorial
 
-from asymint.diffpoly import DiffPolynomial, FieldSymbol, Monomial
+from asymint.diffpoly import DiffPolynomial, FieldSymbol, Monomial, accumulate
 from asymint.errors import GradingError, ZeroInverse
 from asymint.field import CoeffElement, CoeffField, RatFunc
+from asymint.knowns import KnownPoly
 from asymint.lattice import SechPoly, SolitonData, _soliton_parts
 
 
@@ -191,3 +194,25 @@ def stirling_coefficients(j: int, omega: Fraction, top: int) -> dict:
         * sum(omega**k * stirling_first(i, k) * stirling_second(k, j) for k in range(j, i + 1))
         for i in range(j, top + 1)
     }
+
+
+# --- substitution in forcing coefficients ------------------------------------------
+
+
+def substitute_by_ring_ops(poly: KnownPoly, mapping: dict) -> KnownPoly:
+    """poly with each mapped name replaced, term by term as
+    constant(coeff) * base * base * ..., one KnownPoly product per unit of
+    power, an unmapped name multiplying in as its own symbol; the products
+    are summed in term order."""
+    acc = {}
+    for key, coeff in poly.terms.items():
+        term = KnownPoly.constant(poly.field, coeff)
+        for name, power in key:
+            base = mapping.get(name)
+            if base is None:
+                base = KnownPoly.symbol(poly.field, name)
+            for _ in range(power):
+                term = term * base
+        for k, c in term.terms.items():
+            accumulate(acc, k, c)
+    return KnownPoly(poly.field, acc)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from asymint.errors import DomainError, ZeroInverse
-from asymint.field import CoeffField
+from asymint.field import CoeffElement, CoeffField
+from asymint.knowns import KnownPoly
 
 from oracles import conjugate, parse, pinned_field, specialize
 
@@ -93,6 +94,43 @@ def test_field_validation():
         CoeffField(0, h_value=0.5)  # floats are not exact
     with pytest.raises(DomainError):
         CoeffField(0, h_value=Fraction(3, 2))
+
+
+@given(st.data())
+def test_equal_fields_mix_and_unequal_fields_raise(data):
+    twin = CoeffField(1)
+    assert twin is not F1 and twin == F1
+    x = data.draw(elements(F1))
+    y = data.draw(elements(F1))
+    y_twin = CoeffElement(twin, y.even, y.odd)
+    assert x + y_twin == x + y
+    assert x * y_twin == x * y
+    assert F1.coerce(y_twin) == y
+    a1 = KnownPoly.symbol(F1, "a1")
+    b = KnownPoly.constant(twin, y_twin) * KnownPoly.symbol(twin, "a2")
+    same = KnownPoly.constant(F1, y) * KnownPoly.symbol(F1, "a2")
+    assert a1 * b == a1 * same and a1 + b == a1 + same
+    assert (a1 * x).substitute({"a1": b}) == (a1 * x).substitute({"a1": same})
+    pinned = pinned_field(F1, Fraction(1, 3))
+    for other in (F0, pinned):
+        with pytest.raises(ValueError):
+            x + other.one
+        with pytest.raises(ValueError):
+            x * other.one
+        with pytest.raises(ValueError):
+            F1.coerce(other.one)
+        with pytest.raises(ValueError):
+            a1 + KnownPoly.symbol(other, "a1")
+        with pytest.raises(ValueError):
+            a1.substitute({"a1": KnownPoly.symbol(other, "a2")})
+
+
+@given(st.sampled_from([0, 1]), st.data())
+def test_truthiness_is_the_zero_test(s, data):
+    field = CoeffField(s)
+    x = data.draw(elements(field))
+    for y in (x, x - x, x * field.c, field.zero, field.c):
+        assert bool(y) == (not y.is_zero())
 
 
 # --- homomorphism oracle -----------------------------------------------------

@@ -1,15 +1,19 @@
 """Polynomials in named unknowns with exact lattice-parameter coefficients."""
 
+import contextlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asymint import _polyops
 from asymint.diffpoly import DiffPolynomial
 from asymint.errors import InconsistentSystemError
-from asymint.field import CoeffField
+from asymint.field import CoeffField, RatFunc
 from asymint.knowns import KnownPoly
 from asymint.lattice import SechPoly
+
+from oracles import substitute_by_ring_ops
 
 F = CoeffField(1)
 
@@ -78,6 +82,67 @@ def test_substitute_and_evaluate():
     assert val == F.c * 3 + 6
     with pytest.raises(KeyError):
         p.evaluate({"a1": F.from_fraction(3)})
+
+
+NAMES = ["a1", "a2", "c11", "u3"]
+
+
+def known_polys(field, max_terms):
+    """KnownPolys over field with powers up to 3 and coefficients whose
+    products call pgcd on non-constant polynomials in h."""
+    frac = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeffs = st.tuples(frac, frac, frac).map(
+        lambda q: field.from_fraction(q[0]) + field.from_fraction(q[1]) * field.h
+        + field.from_fraction(q[2]) * field.c * (field.one + field.h).inv()
+    ).filter(bool)
+    keys = st.dictionaries(st.sampled_from(NAMES), st.integers(1, 3), max_size=3).map(
+        lambda powers: tuple(sorted(powers.items()))
+    )
+    return st.dictionaries(keys, coeffs, max_size=max_terms).map(lambda terms: KnownPoly(field, terms))
+
+
+@contextlib.contextmanager
+def scalar_calls():
+    """Records the operands of every RatFunc multiply and pgcd call made in
+    the block, in call order; both are restored on exit."""
+    calls = []
+    mul, pgcd = RatFunc.__mul__, _polyops.pgcd
+
+    def counted_mul(a, b):
+        calls.append(("mul", a.num, a.den, b.num, b.den))
+        return mul(a, b)
+
+    def counted_pgcd(a, b):
+        calls.append(("pgcd", a, b))
+        return pgcd(a, b)
+
+    RatFunc.__mul__, _polyops.pgcd = counted_mul, counted_pgcd
+    try:
+        yield calls
+    finally:
+        RatFunc.__mul__, _polyops.pgcd = mul, pgcd
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1]), st.data())
+def test_substitute_makes_the_ring_operations_scalar_calls(s, data):
+    field = CoeffField(s)
+    poly = data.draw(known_polys(field, 4))
+    mapping = data.draw(st.dictionaries(st.sampled_from(NAMES), known_polys(field, 2), max_size=3))
+    with scalar_calls() as fast:
+        got = poly.substitute(mapping)
+    with scalar_calls() as ring:
+        want = substitute_by_ring_ops(poly, mapping)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert fast == ring
+
+
+def test_scalar_calls_sees_both_kernels_and_restores_them():
+    mul, pgcd = RatFunc.__mul__, _polyops.pgcd
+    with scalar_calls() as calls:
+        sym("a1").substitute({"a1": sym("a2") * F.h})
+    assert {call[0] for call in calls} == {"mul", "pgcd"}
+    assert RatFunc.__mul__ is mul and _polyops.pgcd is pgcd
 
 
 def test_degrees_and_text():

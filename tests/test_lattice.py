@@ -218,6 +218,8 @@ def test_profile_rejects_a_field_it_does_not_carry(engine):
     assert np.all(builder._poly(carried, jets, H) == 2.0)
     with pytest.raises(DomainError):
         builder._poly(DiffPolynomial.leaf(FieldSymbol("phi", 2), 1, rep.field.one), jets, H)
+    with pytest.raises(DomainError, match="order 2"):
+        builder._poly(DiffPolynomial.leaf(FieldSymbol("phi", 1), 2, rep.field.one), jets, H)
 
 
 @pytest.mark.parametrize("dt, steps", [
