@@ -57,25 +57,37 @@ def rhs(state: LatticeState, s: int) -> np.ndarray:
 
         1j * (lap_n * (1 - s h^2 |f_n|^2) / (2 h^2) - |f_n|^2 f_n)
 
-    with lap_n = f_{n+1} - 2 f_n + f_{n-1}, built from slices (the two end
-    sites wrap around) and evaluated in place on one fresh result array."""
+    with lap_n = f_{n+1} - 2 f_n + f_{n-1}, evaluated as
+    1j * (A_n (f_{n+1} + f_{n-1}) - B_n f_n) with A_n = (1 - s h^2 |f_n|^2) / (2 h^2)
+    and B_n = 1/h^2 + (1 - s) |f_n|^2.  The neighbour sum comes from slices (the
+    end sites wrap around).  |f_n|^2 is the complex product conj(f) * f, whose
+    imaginary part is at most a rounding, so every later product is complex by
+    complex; 1j rides in the scalars, and the constant A (s = 0) or B (s = 1)
+    costs no array pass.  A real window is read as complex."""
     import numpy as np
 
-    f = state.values
+    f = state.values.astype(complex, copy=False)
     n = len(f)
-    mod = np.square(f.real)
-    mod += np.square(f.imag)
-    factor = mod * (-0.5 * s)
-    factor += 0.5 / state.h**2
+    inv_h2 = 1.0 / state.h**2
+    mod = np.conj(f)
+    mod *= f
     out = np.empty(n, dtype=complex)
     np.add(f[2:], f[:-2], out=out[1:-1])
     out[0] = f[1 % n] + f[-1]
     out[-1] = f[0] + f[-2 % n]
-    out -= f
-    out -= f
-    out *= factor
-    out -= mod * f
-    out *= 1j
+    if s == 0:
+        out *= 0.5j * inv_h2
+    else:
+        a = mod * (-0.5j * s)
+        a += 0.5j * inv_h2
+        out *= a
+    if s == 1:
+        out -= (1j * inv_h2) * f
+    else:
+        mod *= 1j * (1 - s)
+        mod += 1j * inv_h2
+        mod *= f
+        out -= mod
     return out
 
 
@@ -340,8 +352,8 @@ def error_scaling(
     """Integrate from the constructed profile over the slow horizon T (so
     T / eps^3 lattice time) and fit the log-log slope of the sup gap to the
     flow-advanced prediction."""
-    if len(set(eps_list)) < 3:
-        raise DomainError("need at least three distinct epsilon values for a slope")
+    if len(eps_list) < 3 or len(set(eps_list)) != len(eps_list):
+        raise DomainError("need at least three epsilon values, each at most once, for a slope")
     if not all(0 < eps <= 0.3 for eps in eps_list):
         raise DomainError("every epsilon must lie in (0, 0.3]")
     if not 0 < h < 1:

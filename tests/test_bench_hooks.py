@@ -8,6 +8,9 @@ the package fails here and not only in a traced benchmark run.  The cheap
 benchmark ops, taken from perfbench/ops.py read the same way, must print
 artifacts whose sha256 equals perfbench/reference/sha256.json, and their
 traced span calls and counters must equal perfbench/reference/counts.json.
+The criterion-09 error-scaling runs, which the `validate` ops repeat, must
+match perfbench/reference/validate_s{0,1}.csv within the benchmark's CSV
+tolerance.
 """
 
 import contextlib
@@ -119,3 +122,18 @@ def test_cheap_benchmark_artifacts_match_the_reference_sha256(key, monkeypatch):
     assert rc == op.exit
     reference = json.loads((OPS.parent / "reference" / "sha256.json").read_text())
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == reference[key]
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_error_scaling_matches_the_validate_reference_csv(scaling, s):
+    bench = runpy.run_path(str(OPS))
+    rel, absolute = bench["REL_TOL"], bench["ABS_TOL"]
+    lines = (OPS.parent / "reference" / f"validate_s{s}.csv").read_text().splitlines()
+    want = [line.split(",") for line in lines[1:]]
+    result = scaling(s)
+    assert [row.epsilon for row in result.rows] == [float(ref[0]) for ref in want]
+    pairs = [(result.slope, float(want[-1][3]))]
+    for row, ref in zip(result.rows, want):
+        pairs += [(row.sup_error, float(ref[1])), (row.norm_drift, float(ref[2]))]
+    for got, ref in pairs:
+        assert abs(got - ref) <= rel * abs(ref) + absolute, (got, ref)

@@ -180,13 +180,15 @@ def test_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
     ["jordan", "--j", "1", "--omega", "-1", "--max-i", "4", "--verify", "poly:3"],
     ["jordan", "--j", "1", "--omega", "0", "--max-i", "4"],
     ["validate", "--s", "1", "--eps", "0.2,0.2,0.2"],
+    ["validate", "--s", "0", "--eps", "0.3,0.3,0.25,0.2", "--T", "0.001"],
     ["jordan", "--j", "2", "--omega", "3", "--max-i", "6", "--p", "-3"],
     # positive inputs whose window size or step count overflows a float
     ["validate", "--s", "0", "--eps", "0.3,0.2,1e-320"],
     ["validate", "--s", "0", "--h", "1e-320"],
     ["validate", "--s", "0", "--T", "1e308", "--dt", "1e-308"],
 ], ids=["dt-zero", "h-zero", "T-negative", "omega-negative", "omega-zero", "eps-repeated",
-        "p-negative", "window-overflow", "h-window-overflow", "step-overflow"])
+        "eps-repeated-once", "p-negative", "window-overflow", "h-window-overflow",
+        "step-overflow"])
 def test_out_of_domain_input_exits_one_without_artifact(capsys, tmp_path, argv):
     out_path = tmp_path / "artifact"
     assert main([*argv, "--out", str(out_path)]) == 1

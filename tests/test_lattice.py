@@ -55,16 +55,35 @@ def test_rhs_equilibrium_and_zero():
         assert np.all(rhs(zero, s) == 0)
 
 
-def roll_rhs(f, s):
+def roll_rhs(f, s, h=H):
     lap = np.roll(f, -1) - 2 * f + np.roll(f, 1)
     mod = np.abs(f) ** 2
-    return 1j * (lap * (1 - s * H * H * mod) / (2 * H * H) - mod * f)
+    return 1j * (lap * (1 - s * h * h * mod) / (2 * h * h) - mod * f)
 
 
 def test_rhs_matches_hand_expression():
     state = random_state()
     for s in (0, 1):
         assert np.allclose(rhs(state, s), roll_rhs(state.values, s), atol=1e-14)
+
+
+def test_rhs_matches_the_roll_expression_across_spacings_and_branches():
+    # rhs has its own branches for s = 0 and s = 1; at small h both of its
+    # terms grow as 1 / h^2
+    f = random_state().values
+    for h in (0.5, 0.05, 0.01):
+        for s in (0, 1, 0.5, -1):
+            want = roll_rhs(f, s, h)
+            got = rhs(LatticeState(f, h, 0.0), s)
+            assert np.allclose(got, want, rtol=0, atol=2e-15 * np.max(np.abs(want))), (h, s)
+
+
+def test_rhs_accepts_a_real_window():
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=32)
+    for s in (0, 1):
+        got = rhs(LatticeState(f, H, 0.0), s)
+        assert np.array_equal(got, rhs(LatticeState(f.astype(complex), H, 0.0), s))
 
 
 def test_rhs_branches_differ_by_the_saturation_factor():
@@ -202,6 +221,8 @@ def test_error_scaling_needs_three_points():
         error_scaling(1, H, [0.1, 0.05], T=0.1, dt=0.02)
     with pytest.raises(DomainError):
         error_scaling(1, H, [0.1, 0.1, 0.05], T=0.1, dt=0.02)
+    with pytest.raises(DomainError, match="each at most once"):
+        error_scaling(0, H, [0.3, 0.3, 0.25, 0.2], T=0.001, dt=0.02)
 
 
 def test_profile_domain_checks(engine):
