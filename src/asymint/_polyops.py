@@ -6,14 +6,18 @@ empty tuple.  These kernels underlie the scalar field and have no
 dependencies, so they are easy to test in isolation.
 
 A constant argument `(k,)` takes a fast path in `pgcd`, `pmul` and
-`pdivexact` that returns exactly the tuple the general path returns; most
-gcds of the elimination have a constant argument.  Callers reach `pgcd`
+`pdivexact` that returns exactly the tuple the general path returns, and
+`pgcd` answers `ONE` at once when either argument is `ONE`; most gcds of the
+elimination take one of these paths.  The non-constant paths of `pgcd` and
+`pdivexact` are memoized per process on the operand pair (`MEMO_SIZE`
+entries each; a failed division is never cached).  Callers reach `pgcd`
 through the module attribute (`P.pgcd`) at call time, because the benchmark
-counts its calls by patching that attribute.
+counts its calls by patching that attribute; the memos sit below it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
@@ -22,6 +26,7 @@ Poly = Tuple[int, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (1,)
+MEMO_SIZE = 256  # entries in each of the pgcd and pdivexact memos
 
 
 def pnormalize(coeffs: Iterable[int]) -> Poly:
@@ -137,6 +142,11 @@ def pdivexact(a: Poly, b: Poly) -> Poly:
             if c % k:
                 raise ArithmeticError("inexact polynomial division")
         return tuple([c // k for c in a])
+    return _pdivlong(a, b)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _pdivlong(a: Poly, b: Poly) -> Poly:
     r = list(a)
     db, lb = pdegree(b), b[-1]
     if pdegree(a) < db:
@@ -157,14 +167,19 @@ def pdivexact(a: Poly, b: Poly) -> Poly:
 
 def pgcd(a: Poly, b: Poly) -> Poly:
     """Full gcd in Z[h] (content included), positive leading coefficient."""
+    if a == ONE or b == ONE:
+        return ONE
     if not a:
         return _poslead(b)
     if not b:
         return _poslead(a)
-    if len(a) == 1:
-        return (math.gcd(pcontent(b), a[0]),)
-    if len(b) == 1:
-        return (math.gcd(pcontent(a), b[0]),)
+    if len(a) == 1 or len(b) == 1:
+        return (math.gcd(*a, *b),)
+    return _pgcdprs(a, b)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _pgcdprs(a: Poly, b: Poly) -> Poly:
     ca, pa = pprimitive(a)
     cb, pb = pprimitive(b)
     c = math.gcd(ca, cb)

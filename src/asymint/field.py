@@ -32,19 +32,18 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: P.Poly, den: P.Poly = P.ONE, *, _reduced: bool = False):
+    def __init__(self, num: P.Poly, den: P.Poly = P.ONE):
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not _reduced:
-            if not num:
-                den = P.ONE
-            else:
-                g = P.pgcd(num, den)
-                if g != P.ONE:
-                    num = P.pdivexact(num, g)
-                    den = P.pdivexact(den, g)
-                if den[-1] < 0:
-                    num, den = P.pneg(num), P.pneg(den)
+        if not num:
+            den = P.ONE
+        else:
+            g = P.pgcd(num, den)
+            if g != P.ONE:
+                num = P.pdivexact(num, g)
+                den = P.pdivexact(den, g)
+            if den[-1] < 0:
+                num, den = P.pneg(num), P.pneg(den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -81,7 +80,7 @@ class RatFunc:
         )
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(P.pneg(self.num), self.den, _reduced=True)
+        return _ratfunc(P.pneg(self.num), self.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -91,17 +90,16 @@ class RatFunc:
         if not n1 or not n2:
             return _RAT_ZERO
         d1, d2 = self.den, other.den
-        # cross-cancel before multiplying to keep intermediates small
+        # cross-cancel first to keep intermediates small; den keeps a positive lead
         g1 = P.pgcd(n1, d2)
         g2 = P.pgcd(n2, d1)
         if g1 != P.ONE:
             n1, d2 = P.pdivexact(n1, g1), P.pdivexact(d2, g1)
         if g2 != P.ONE:
             n2, d1 = P.pdivexact(n2, g2), P.pdivexact(d1, g2)
-        num, den = P.pmul(n1, n2), P.pmul(d1, d2)
-        if den[-1] < 0:
-            num, den = P.pneg(num), P.pneg(den)
-        return RatFunc(num, den, _reduced=True)
+        num = n2 if n1 == P.ONE else n1 if n2 == P.ONE else P.pmul(n1, n2)
+        den = d2 if d1 == P.ONE else d1 if d2 == P.ONE else P.pmul(d1, d2)
+        return _ratfunc(num, den)
 
     def inv(self) -> "RatFunc":
         if not self.num:
@@ -109,7 +107,7 @@ class RatFunc:
         num, den = self.den, self.num
         if den[-1] < 0:
             num, den = P.pneg(num), P.pneg(den)
-        return RatFunc(num, den, _reduced=True)
+        return _ratfunc(num, den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inv()
@@ -129,8 +127,17 @@ class RatFunc:
         return f"{body}/({P.pstr(self.den)})"
 
 
-_RAT_ZERO = RatFunc(P.ZERO, P.ONE, _reduced=True)
-_RAT_ONE = RatFunc(P.ONE, P.ONE, _reduced=True)
+# Reduced parts go straight into the slots: no __init__, no setattr calls.
+def _ratfunc(num: P.Poly, den: P.Poly, new=object.__new__,
+             set_num=RatFunc.num.__set__, set_den=RatFunc.den.__set__) -> RatFunc:
+    r = new(RatFunc)
+    set_num(r, num)
+    set_den(r, den)
+    return r
+
+
+_RAT_ZERO = _ratfunc(P.ZERO, P.ONE)
+_RAT_ONE = _ratfunc(P.ONE, P.ONE)
 
 
 class CoeffField:
@@ -246,12 +253,12 @@ class CoeffElement:
         o = other if type(other) is CoeffElement and other.field is self.field else self._lift(other)
         if o is None:
             return NotImplemented
-        return CoeffElement(self.field, self.even + o.even, self.odd + o.odd)
+        return _element(self.field, self.even + o.even, self.odd + o.odd)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CoeffElement":
-        return CoeffElement(self.field, -self.even, -self.odd)
+        return _element(self.field, -self.even, -self.odd)
 
     def __sub__(self, other: ScalarLike) -> "CoeffElement":
         o = self._lift(other)
@@ -269,10 +276,8 @@ class CoeffElement:
         o = other if type(other) is CoeffElement and other.field is self.field else self._lift(other)
         if o is None:
             return NotImplemented
-        r = self.field._radicand
-        even = self.even * o.even + self.odd * o.odd * r
-        odd = self.even * o.odd + self.odd * o.even
-        return CoeffElement(self.field, even, odd)
+        a, b, c, d = self.even, self.odd, o.even, o.odd
+        return _element(self.field, a * c + b * d * self.field._radicand, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -286,7 +291,7 @@ class CoeffElement:
                 raise ZeroInverse("inverse of zero")
             raise ZeroInverse(f"zero divisor has no inverse: {self.text()}")
         ninv = norm.inv()
-        return CoeffElement(self.field, self.even * ninv, -(self.odd * ninv))
+        return _element(self.field, self.even * ninv, -(self.odd * ninv))
 
     def __truediv__(self, other: ScalarLike) -> "CoeffElement":
         o = self._lift(other)
@@ -336,3 +341,13 @@ class CoeffElement:
 
     def __repr__(self) -> str:
         return f"<{self.text()}>"
+
+
+def _element(field: CoeffField, even: RatFunc, odd: RatFunc, new=object.__new__,
+             set_field=CoeffElement.field.__set__, set_even=CoeffElement.even.__set__,
+             set_odd=CoeffElement.odd.__set__) -> CoeffElement:
+    e = new(CoeffElement)
+    set_field(e, field)
+    set_even(e, even)
+    set_odd(e, odd)
+    return e

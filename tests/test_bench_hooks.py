@@ -56,9 +56,11 @@ def test_tracer_patch_point_resolves(module, path):
     assert path == "ONE" or callable(target)
 
 
-# The benchmark ops that take about a second or less each; check9_s1 is the
-# order-9 elimination (36 pivots), where KnownPoly.substitute does most work.
-CHEAP_OPS = ["check7_s0", "check7_s1", "check9_s1", "reduce9_s0", "reduce9_s1", "jordan"]
+# The benchmark ops that take about a second or less each.  check9_s0 and
+# check9_s1 are the order-9 eliminations, where KnownPoly.substitute does most
+# work; check9_s0 prints the FAIL witness of the s = 0 ring with zero divisors.
+CHEAP_OPS = ["check7_s0", "check7_s1", "check9_s0", "check9_s1", "reduce9_s0", "reduce9_s1",
+             "jordan"]
 
 # Installs the tracer in a fresh interpreter (-B: no bytecode is written
 # beside it), integrates 8 sites for 3 steps, then runs each op of the

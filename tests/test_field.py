@@ -12,8 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from asymint import _polyops as P
 from asymint.errors import DomainError, ZeroInverse
-from asymint.field import CoeffElement, CoeffField
+from asymint.field import CoeffElement, CoeffField, RatFunc
 from asymint.knowns import KnownPoly
 
 from oracles import conjugate, parse, pinned_field, specialize
@@ -131,6 +132,29 @@ def test_truthiness_is_the_zero_test(s, data):
     x = data.draw(elements(field))
     for y in (x, x - x, x * field.c, field.zero, field.c):
         assert bool(y) == (not y.is_zero())
+
+
+@given(st.sampled_from([0, 1]), st.data())
+def test_fast_built_values_are_immutable_and_equal_their_init_twins(s, data):
+    # products, sums, negatives and inverses fill their slots without __init__
+    field = CoeffField(s)
+    x = data.draw(elements(field))
+    y = data.draw(elements(field))
+    built = [x * y, x + y, -x, x * field.one, x * field.c]
+    try:
+        built.append(x.inv())
+    except ZeroInverse:
+        pass
+    for z in built:
+        even, odd = RatFunc(z.even.num, z.even.den), RatFunc(z.odd.num, z.odd.den)
+        twin = CoeffElement(field, even, odd)
+        assert z == twin and twin == z and z.text() == twin.text()
+        assert (z.even, z.odd) == (even, odd) and z.even.text() == even.text()
+        for part in (z.even, z.odd):
+            with pytest.raises(AttributeError, match="RatFunc is immutable"):
+                part.num = P.ONE
+        with pytest.raises(AttributeError, match="CoeffElement is immutable"):
+            z.even = field.one.even
 
 
 # --- homomorphism oracle -----------------------------------------------------

@@ -163,3 +163,50 @@ def test_exact_quotient_matches_sympy(a, b):
     else:
         assert P.pdivexact(a, b) == want
 
+
+# --- unit and constant fast paths, and the memo below pgcd / pdivexact -----------
+
+specials = st.one_of(st.just(P.ONE), st.just(P.ZERO), constants)
+# positive degree, times one of a few shared factors so that gcds are not all 1
+nonconstant = st.tuples(
+    st.builds(lambda low, lead: tuple(low) + (lead,), st.lists(coeffs, min_size=1, max_size=4),
+              coeffs.filter(bool)),
+    st.sampled_from([P.ONE, (1, 1), (-2, 0, 3)]),
+).map(lambda pair: P.pmul(*pair))
+
+
+def sympy_gcd(a, b):
+    return from_sympy(sympy_poly(a).gcd(sympy_poly(b)))
+
+
+@given(specials, operands)
+@settings(deadline=None)  # the first call imports sympy
+def test_gcd_with_a_unit_zero_or_constant_operand_matches_sympy(a, b):
+    want = sympy_gcd(a, b)
+    assert P.pgcd(a, b) == want
+    assert P.pgcd(b, a) == want
+
+
+@given(nonconstant, nonconstant, nonconstant)
+@settings(deadline=None)  # the first call imports sympy
+def test_a_repeated_operand_pair_gives_an_equal_tuple(a, b, c):
+    assert P._pgcdprs.cache_info().maxsize == P._pdivlong.cache_info().maxsize == P.MEMO_SIZE
+    first = P.pgcd(a, b)
+    assert first == sympy_gcd(a, b)
+    # the memo is keyed on both operands: a pair sharing one of them is its own entry
+    assert P.pgcd(a, c) == sympy_gcd(a, c)
+    assert P.pgcd(c, b) == sympy_gcd(c, b)
+    hits = P._pgcdprs.cache_info().hits
+    assert P.pgcd(a, b) == first
+    assert P._pgcdprs.cache_info().hits == hits + 1
+    product = P.pmul(a, b)
+    assert P.pdivexact(product, b) == P.pdivexact(product, b) == a
+
+
+@given(nonconstant, nonconstant)
+def test_an_inexact_division_raises_after_an_exact_quotient_by_the_same_divisor_was_cached(a, b):
+    assert P.pdivexact(P.pmul(a, b), b) == a
+    inexact = P.padd(P.pmul(a, b), P.ONE)  # b has positive degree, so it does not divide this
+    for _ in range(2):  # a failure is never cached
+        with pytest.raises(ArithmeticError):
+            P.pdivexact(inexact, b)
