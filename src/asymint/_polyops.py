@@ -3,7 +3,9 @@
 A polynomial in h with integer coefficients is an immutable tuple of ints in
 ascending degree order with no trailing zeros; the zero polynomial is the
 empty tuple.  These kernels underlie the scalar field and have no
-dependencies, so they are easy to test in isolation.
+dependencies, so they are easy to test in isolation.  The root count on
+(0, 1) builds its Sturm chain in Z[h] with the same pseudo-remainder as the
+gcd; no polynomial here has rational coefficients.
 
 A constant argument `(k,)` takes a fast path in `pgcd`, `pmul` and
 `pdivexact` that returns exactly the tuple the general path returns, and
@@ -20,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 Poly = Tuple[int, ...]
 
@@ -115,11 +117,7 @@ def ppseudo_rem(a: Poly, b: Poly) -> Poly:
         raise ZeroDivisionError("pseudo-remainder by zero polynomial")
     r = list(a)
     db, lb = pdegree(b), b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
+    while len(r) > db:  # r has no trailing zeros, so r[-1] leads
         lr = r[-1]
         shift = len(r) - 1 - db
         r = [c * lb for c in r]
@@ -127,7 +125,7 @@ def ppseudo_rem(a: Poly, b: Poly) -> Poly:
             r[shift + i] -= lr * cb
         while r and r[-1] == 0:
             r.pop()
-    return pnormalize(r)
+    return tuple(r)
 
 
 def pdivexact(a: Poly, b: Poly) -> Poly:
@@ -212,26 +210,6 @@ def pstr(a: Poly, var: str = "h") -> str:
 
 # --- exact sign analysis on the open unit interval ------------------------
 
-def _qdiv(num: Sequence[Fraction], den: Sequence[Fraction]):
-    """Long division over Q; returns (quotient, remainder) as Fraction lists."""
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        k = len(num) - len(den)
-        coef = num[-1] / den[-1]
-        q[k] = coef
-        for i, cd in enumerate(den):
-            num[k + i] -= coef * cd
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
 def _sign_variations(values) -> int:
     signs = [v for v in values if v != 0]
     return sum(1 for x, y in zip(signs, signs[1:]) if (x < 0) != (y < 0))
@@ -240,26 +218,26 @@ def _sign_variations(values) -> int:
 def count_roots_open_unit_interval(a: Poly) -> int:
     """Number of distinct real roots of a in the open interval (0, 1).
 
-    Uses a Sturm chain over exact rationals.  Roots at the endpoints are
-    excluded by dividing out h and (h - 1) factors first.
-    """
+    Roots at 0 and 1 are divided out first.  The Sturm chain is built in
+    Z[h]: each member is the negated primitive part of the pseudo-remainder
+    of the two before it by a divisor with positive leading coefficient, a
+    positive multiple of the member over Q.  The signs at 0 and 1 are the
+    constant term and the coefficient sum."""
     if not a:
         raise ZeroDivisionError("sign analysis of the zero polynomial")
-    p = [Fraction(c) for c in a]
-    for root in (Fraction(0), Fraction(1)):
-        while len(p) > 1 and sum(c * root ** k for k, c in enumerate(p)) == 0:
-            p, _ = _qdiv(p, [-root, Fraction(1)])
-    if len(p) <= 1:
+    while not a[0]:
+        a = a[1:]
+    while len(a) > 1 and not sum(a):
+        a = pdivexact(a, (-1, 1))
+    if len(a) == 1:
         return 0
-    chain = [p, [k * c for k, c in enumerate(p)][1:]]
-    while len(chain[-1]) > 0:
-        _, r = _qdiv(chain[-2], chain[-1])
+    chain = [a, tuple([k * c for k, c in enumerate(a)][1:])]
+    while True:
+        r = ppseudo_rem(chain[-2], _poslead(chain[-1]))
         if not r:
             break
-        chain.append([-c for c in r])
-    def _at(x: Fraction) -> list:
-        return [sum(c * x ** k for k, c in enumerate(q)) for q in chain]
-    return _sign_variations(_at(Fraction(0))) - _sign_variations(_at(Fraction(1)))
+        chain.append(pneg(pprimitive(r)[1]))
+    return _sign_variations([q[0] for q in chain]) - _sign_variations([sum(q) for q in chain])
 
 
 def sign_on_open_unit_interval(a: Poly) -> int:

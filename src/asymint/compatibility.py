@@ -108,7 +108,7 @@ def eliminate_unknowns(
             linear, rest = eq.split_linear(remaining)
             for name in sorted(linear, key=_label_key):
                 coeff = linear[name]
-                if coeff.is_constant() and not coeff.constant_value().is_zero():
+                if coeff.is_constant() and coeff.constant_value():
                     try:
                         inv = coeff.constant_value().inv()
                     except ZeroInverse:
@@ -287,7 +287,7 @@ def solve_compatibility(problem: CompatibilityProblem) -> CompatibilityReport:
     evaluated = [c.evaluate(problem.known_values) for c in constraints]
     witness = None
     for c, value in zip(constraints, evaluated):
-        if not value.is_zero():
+        if value:
             witness = f"{c.text()} evaluates to {value.text()}"
             break
     return CompatibilityReport(

@@ -113,9 +113,6 @@ class SparseSum:
         """other as an operand of this sum, or None when it is not one."""
         return other if isinstance(other, type(self)) else None
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -344,9 +341,6 @@ class EvolutionRules:
     def set(self, kind: str, index: int, m: int, value: DiffPolynomial) -> None:
         self.table[(kind, index, m)] = value
 
-    def leaf(self, sym: FieldSymbol, ell: int = 0) -> DiffPolynomial:
-        return DiffPolynomial.leaf(sym, ell, self.one)
-
 
 def time_derivative(
     poly: DiffPolynomial, m: int, rules: EvolutionRules, strict: bool = True
@@ -396,7 +390,7 @@ def substitute_slow_times(
         piece = DiffPolynomial.constant(rules.one).scale(coeff)
         for sym, ell in mon:
             piece = piece * _resolve_leaf(sym, ell, rules, strict)
-            if piece.is_zero():
+            if not piece:
                 break
         for m, c in piece.terms.items():
             accumulate(acc, m, c)
@@ -409,13 +403,13 @@ def _resolve_leaf(
     """d_x^ell of a tagged leaf: its latest slow time through _derive_leaf
     on the leaf without that tag, then whatever tags the result carries."""
     if not sym.times:
-        return rules.leaf(sym, ell)
+        return DiffPolynomial.leaf(sym, ell, rules.one)
     remaining = sorted(sym.times)
     pending = remaining.pop()
     inner = FieldSymbol(sym.kind, sym.index, tuple(remaining))
     value = _derive_leaf(inner, ell, pending, rules, strict)
     if value is None:
-        return rules.leaf(sym, ell)
+        return DiffPolynomial.leaf(sym, ell, rules.one)
     return substitute_slow_times(value, rules, strict)
 
 

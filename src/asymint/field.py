@@ -54,9 +54,6 @@ class RatFunc:
     def from_fraction(cls, q: Fraction) -> "RatFunc":
         return cls(P.pconst(q.numerator), P.pconst(q.denominator))
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -220,9 +217,6 @@ class CoeffElement:
 
     # --- predicates ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.even.is_zero() and self.odd.is_zero()
-
     def __bool__(self) -> bool:
         return bool(self.even.num or self.odd.num)
 
@@ -286,8 +280,8 @@ class CoeffElement:
         zero divisors that exist when the radicand is a perfect square."""
         r = self.field._radicand
         norm = self.even * self.even - self.odd * self.odd * r
-        if norm.is_zero():
-            if self.is_zero():
+        if not norm:
+            if not self:
                 raise ZeroInverse("inverse of zero")
             raise ZeroInverse(f"zero divisor has no inverse: {self.text()}")
         ninv = norm.inv()

@@ -25,7 +25,7 @@ class FlowHierarchy:
     __slots__ = ("alpha1", "alpha2", "field", "_ratio", "_dphi", "_d2phi")
 
     def __init__(self, alpha1: CoeffElement, alpha2: CoeffElement):
-        if alpha1.is_zero():
+        if not alpha1:
             raise ValueError("the dispersive coefficient must be invertible")
         self.alpha1 = alpha1
         self.alpha2 = alpha2

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diffpoly import DiffPolynomial, SparseSum, accumulate
 from .errors import DomainError, StabilityError
@@ -186,17 +186,22 @@ class SechPoly(SparseSum):
         return self.terms.get((a, b), self.field.zero)
 
 
-def _substitute_flow(flow: DiffPolynomial, jets: Dict[int, SechPoly], field: CoeffField) -> SechPoly:
-    """The flow with every jet of the first field replaced by the profile
-    jet; used with unit amplitude to set up the traveling-wave conditions."""
-    out = SechPoly(field)
-    for m, coeff in flow.terms.items():
-        piece = SechPoly(field, {(0, 0): coeff})
+def _on_jets(poly: DiffPolynomial, jets: Dict[int, object], lift: Callable, zero: object) -> object:
+    """Sum from zero of poly's terms with each coefficient lifted and each
+    d^ell phi1 replaced by jets[ell] (sech polynomials or window arrays);
+    any other factor is a DomainError."""
+    out = zero
+    for m, coeff in poly.terms.items():
+        term = lift(coeff)
         for sym, ell in m:
-            if sym.kind != "phi" or sym.index != 1 or sym.times or ell < 1:
-                raise DomainError("the traveling ansatz only carries jets of the first field")
-            piece = piece * jets[ell]
-        out = out + piece
+            if sym.times:
+                raise DomainError(f"unresolved slow-time tag {sym}")
+            if sym.kind != "phi" or sym.index != 1:
+                raise DomainError(f"the profile carries only phi1, not {sym.name()}")
+            if ell not in jets:
+                raise DomainError(f"the profile carries no x-derivative of phi1 of order {ell}")
+            term = term * jets[ell]
+        out = out + term
     return out
 
 
@@ -225,9 +230,11 @@ def _soliton_parts(
     """The linear and the quadratic part of the second flow on the
     unit-amplitude sech^2 profile of the given width."""
     jets = profile_jets(field, width, max(ell for m in flow2.terms for _, ell in m))
-    linear = _substitute_flow(flow2.part_of_degree("phi", 1, 1), jets, field)
-    quadratic = _substitute_flow(flow2.part_of_degree("phi", 1, 2), jets, field)
-    return linear, quadratic
+    return tuple(
+        _on_jets(flow2.part_of_degree("phi", 1, degree), jets,
+                 lambda coeff: SechPoly(field, {(0, 0): coeff}), SechPoly(field))
+        for degree in (1, 2)
+    )
 
 
 def solve_soliton(flow2: DiffPolynomial, field: CoeffField, width: Fraction) -> SolitonData:
@@ -235,7 +242,7 @@ def solve_soliton(flow2: DiffPolynomial, field: CoeffField, width: Fraction) -> 
     from the flow itself: the quadratic-in-amplitude sech^4 balance fixes the
     amplitude, the sech^2 balance then fixes the speed."""
     linear, quadratic = _soliton_parts(flow2, field, width)
-    if not (linear.get(0, 1).is_zero() and quadratic.get(0, 1).is_zero()):
+    if linear.get(0, 1) or quadratic.get(0, 1):
         raise DomainError("the second flow is not even in the profile")
     amplitude = -(linear.get(2, 0) * quadratic.get(2, 0).inv())
     speed = -(linear.get(1, 0) + amplitude * quadratic.get(1, 0))
@@ -297,28 +304,11 @@ class ProfileBuilder:
         global_phase = u_inf * peak + drift * t2
         phi = -t + eps * (phi1 + global_phase)
         jets = {1: u_inf + A * S}
-        nu = 1.0 + eps**2 * self._poly(rep.amplitude(1), jets, h)
+        nu = 1.0 + eps**2 * _on_jets(rep.amplitude(1), jets, lambda coeff: coeff.eval_float(h), 0.0)
         if np.any(nu <= 0):
             raise DomainError("amplitude correction drove the field density nonpositive")
         values = np.sqrt(nu) * np.exp(1j * phi)
         return LatticeState(values.astype(complex), h, t)
-
-    def _poly(self, poly: DiffPolynomial, jets: Dict[int, np.ndarray], h: float) -> np.ndarray:
-        import numpy as np
-
-        out = np.zeros(self.window)
-        for m, coeff in poly.terms.items():
-            term = np.full(self.window, coeff.eval_float(h))
-            for sym, ell in m:
-                if sym.times:
-                    raise DomainError(f"unresolved slow-time tag {sym}")
-                if sym.kind != "phi" or sym.index != 1:
-                    raise DomainError(f"the profile carries only phi1, not {sym.name()}")
-                if ell not in jets:
-                    raise DomainError(f"the profile carries no x-derivative of phi1 of order {ell}")
-                term = term * jets[ell]
-            out = out + term
-        return out
 
 
 # --- error scaling ------------------------------------------------------------------

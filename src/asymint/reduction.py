@@ -68,7 +68,7 @@ class EpsSeries(SparseSum):
         self.terms: Dict[int, DiffPolynomial] = {}
         if terms:
             for k, poly in terms.items():
-                if k <= limit and not poly.is_zero():
+                if k <= limit and poly:
                     self.terms[k] = poly
 
     def _like(self, terms: Dict[int, DiffPolynomial]) -> "EpsSeries":
@@ -307,13 +307,13 @@ class ReductionReport:
         return substitute_slow_times(poly, self.rules, strict=False)
 
     def check_parity(self) -> None:
-        if not self.r_phi.get(0).is_zero():
+        if self.r_phi.get(0):
             raise InconsistentSystemError(
                 "eps^0: the constant solution does not balance the phase equation"
             )
         for k in range(0, self.order + 1):
             bad = self.r_nu.get(k) if k % 2 == 0 else self.r_phi.get(k)
-            if not bad.is_zero():
+            if bad:
                 raise InconsistentSystemError(
                     f"eps^{k}: parity-forbidden residual {bad.text()}"
                 )
@@ -366,7 +366,7 @@ class ReductionReport:
 
     def stage_dispersion(self) -> None:
         poly = self.resolved(self.r_nu.get(3))
-        if not poly.is_zero():
+        if poly:
             raise InconsistentSystemError(
                 f"eps^3: dispersion identity violated: {poly.text()}"
             )
@@ -377,7 +377,7 @@ class ReductionReport:
         flow2 = known.integrate_x().scale(-(lam.inv()))
         alpha1 = flow2.terms.get(mono(("phi", 1, 3)), self.field.zero)
         alpha2 = flow2.terms.get(mono(("phi", 1, 1), ("phi", 1, 1)), self.field.zero)
-        if len(flow2) != 2 or alpha1.is_zero():
+        if len(flow2) != 2 or not alpha1:
             raise SecularResidueError(f"eps^5: unexpected t2 flow {flow2.text()}")
         self.alphas[1], self.alphas[2] = alpha1, alpha2
         self.betas[2] = alpha1
@@ -426,7 +426,7 @@ class ReductionReport:
             self.forcings["f_t2"].coefficients,
         )
         forcing = DiffPolynomial(
-            {m: b_values[name] for name, m in T3_SECOND.pairs if not b_values[name].is_zero()}
+            {m: b_values[name] for name, m in T3_SECOND.pairs if b_values[name]}
         )
         linear3 = self.hier.linearized(3, self.betas[3], "phi", 2)
         self.rules.set("phi", 2, 3, linear3 + forcing)
@@ -525,7 +525,7 @@ def _split_bare(
             lam = coeff
         else:
             rest[m] = coeff
-    if lam is None or lam.is_zero():
+    if not lam:
         raise InconsistentSystemError(f"{stage}: no linear term in {sym.name()}")
     return lam, DiffPolynomial(rest)
 
@@ -546,19 +546,19 @@ def derive_dispersion(s: int) -> DispersionData:
         lam, rest = _split_bare(r_phi.get(2), FieldSymbol("nu", 1), 0, "eps^2")
         nu1 = rest.scale(-(lam.inv()))
         gain = nu1.terms.get(mono(("phi", 1, 1)), field.zero)
-        if len(nu1) != 1 or not gain.even.is_zero() or gain.odd.is_zero():
+        if len(nu1) != 1 or gain.even or not gain.odd:
             raise InconsistentSystemError(
                 "eps^2: amplitude lock is not proportional to c d_x phi"
             )
         rho = (-r_nu.get(3)).terms.get(mono(("phi", 1, 2)), field.zero)
-        if not rho.odd.is_zero():
+        if rho.odd:
             raise InconsistentSystemError("eps^3: dispersion balance acquired an odd part")
         required = (-rho.even) / gain.odd
         sign = sign_on_open_unit_interval(required.num) * sign_on_open_unit_interval(
             required.den
         )
         if sign > 0:
-            if not field.c_squared.odd.is_zero() or required != field.c_squared.even:
+            if field.c_squared.odd or required != field.c_squared.even:
                 raise InconsistentSystemError(
                     "eps^3: derived dispersion disagrees with the coefficient field"
                 )

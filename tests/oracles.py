@@ -107,7 +107,7 @@ def flow_commutator(p: DiffPolynomial, q: DiffPolynomial, kind: str) -> DiffPoly
 
 
 def _scale(poly: SechPoly, value: CoeffElement) -> SechPoly:
-    if value.is_zero():
+    if not value:
         return SechPoly(poly.field)
     return SechPoly(poly.field, {k: v * value for k, v in poly.terms.items()})
 

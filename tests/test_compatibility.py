@@ -93,7 +93,7 @@ def kdv_constraints(field, alpha1, alpha2):
 def assert_same_relations(got, expected):
     assert len(got) == len(expected)
     for want in expected:
-        assert any((have - want).is_zero() for have in got), want.text()
+        assert any(not (have - want) for have in got), want.text()
 
 
 def test_seventh_order_is_unobstructed(engine, commutation):
@@ -107,7 +107,7 @@ def test_seventh_order_is_unobstructed(engine, commutation):
         )
         assert set(out.solved_coefficients) == set(want)
         for name, expr in want.items():
-            assert (out.solved_coefficients[name] - expr).is_zero(), (s, name)
+            assert not (out.solved_coefficients[name] - expr), (s, name)
 
 
 def test_ninth_order_constraints_second_branch(engine, commutation):
@@ -117,7 +117,7 @@ def test_ninth_order_constraints_second_branch(engine, commutation):
     assert len(out.solved_coefficients) == 24
     want = potential_constraints(rep.field, rep.alphas[1], rep.alphas[2])
     assert_same_relations(out.residual_constraints, want)
-    assert all(v.is_zero() for v in out.evaluated)
+    assert all(not v for v in out.evaluated)
     assert out.verdict == "PASS"
     assert out.witness is None
 
@@ -129,7 +129,7 @@ def test_ninth_order_constraints_first_branch(engine, commutation):
     assert len(out.solved_coefficients) == 31
     want = kdv_constraints(rep.field, rep.alphas[1], rep.alphas[2])
     assert_same_relations(out.residual_constraints, want)
-    nonzero = [v for v in out.evaluated if not v.is_zero()]
+    nonzero = [v for v in out.evaluated if v]
     assert len(nonzero) == 1
     assert nonzero[0] == parse(rep.field, WITNESS_VALUE)
     assert out.verdict == "FAIL"
@@ -149,17 +149,17 @@ def test_every_commutator_equation_is_accounted_for(engine, commutation):
             name = min(con.terms, key=_column_key)[0][0]
             pivots[name] = KnownPoly.symbol(problem.field, name) - con
         for eq in commutator_equations(problem):
-            assert eq.substitute(out.solved_coefficients).substitute(pivots).is_zero()
+            assert not eq.substitute(out.solved_coefficients).substitute(pivots)
 
 
 def test_strip_content_divides_out_stray_labels():
     f = CoeffField(1)
     a1, c7, c11 = syms(f, "a1", "c7", "c11")
     primitive = c7 - 3 * c11
-    assert (strip_content(a1 * a1 * primitive) - primitive).is_zero()
-    assert strip_content(KnownPoly(f)).is_zero()
+    assert not (strip_content(a1 * a1 * primitive) - primitive)
+    assert not strip_content(KnownPoly(f))
     # no common factor: unchanged
-    assert (strip_content(primitive + a1) - (primitive + a1)).is_zero()
+    assert not (strip_content(primitive + a1) - (primitive + a1))
 
 
 def test_rref_is_a_canonical_form():
@@ -171,7 +171,7 @@ def test_rref_is_a_canonical_form():
     b = rref(other, f)
     assert len(a) == len(b) == 2
     for left, right in zip(a, b):
-        assert (left - right).is_zero()
+        assert not (left - right)
 
 
 def test_pivots_skip_zero_divisors():
@@ -184,13 +184,13 @@ def test_pivots_skip_zero_divisors():
     )
     assert leftovers == []
     assert set(solved) == {"x1", "x2"}
-    assert (solved["x1"] - (a1 - zero_divisor * 2 * a1)).is_zero()
-    assert (solved["x2"] - 2 * a1).is_zero()
+    assert not (solved["x1"] - (a1 - zero_divisor * 2 * a1))
+    assert not (solved["x2"] - 2 * a1)
 
     rows = rref([zero_divisor * a1, a1 + x2], f)
     assert len(rows) == 2
-    assert (rows[0] - (a1 + x2)).is_zero()
-    assert (rows[1] + zero_divisor * x2).is_zero()
+    assert not (rows[0] - (a1 + x2))
+    assert not (rows[1] + zero_divisor * x2)
 
 
 S0 = CoeffField(0)
@@ -235,14 +235,25 @@ def test_elimination_in_the_zero_divisor_ring(equations):
     assert set(solved) == set(UNKNOWNS)
     for eq in equations:
         left = eq.substitute(solved)
-        assert left.is_zero() or left in leftovers
+        assert not left or left in leftovers
+
+
+def test_a_third_canonical_pass_changes_nothing(commutation):
+    # solve_compatibility runs rref(strip_content(.)) twice; the rows it keeps
+    # are already the canonical form, so one more pass returns them unchanged
+    for s, rows in ((0, 5), (1, 3)):
+        constraints = commutation(s, 9).residual_constraints
+        assert len(constraints) == rows
+        again = rref([strip_content(c) for c in constraints], constraints[0].field)
+        assert again == constraints
+        assert [c.text() for c in again] == [c.text() for c in constraints]
 
 
 def test_verdicts_survive_branch_flip(commutation):
     for s in (0, 1):
         out = commutation(s, 9)
-        pattern = [v.is_zero() for v in out.evaluated]
-        assert [conjugate(v).is_zero() for v in out.evaluated] == pattern
+        pattern = [not v for v in out.evaluated]
+        assert [not conjugate(v) for v in out.evaluated] == pattern
 
 
 def test_verdicts_survive_h_pinning(commutation, pinned_commutation):
@@ -251,14 +262,14 @@ def test_verdicts_survive_h_pinning(commutation, pinned_commutation):
     for s in (0, 1):
         out = commutation(s, 9)
         target = CoeffField(s, h_value=Fraction(1, 3))
-        general = [v.is_zero() for v in out.evaluated]
-        pinned = [specialize(v, target).is_zero() for v in out.evaluated]
+        general = [not v for v in out.evaluated]
+        pinned = [not specialize(v, target) for v in out.evaluated]
         assert pinned == general
 
 
 def test_nonvanishing_witness_under_both_signs(commutation):
     out = commutation(0, 9)
-    value = next(v for v in out.evaluated if not v.is_zero())
+    value = next(v for v in out.evaluated if v)
     h = Fraction(1, 2)
     even, odd = value.eval_exact(h)
     root = math.sqrt(1 - value.field.s * h * h)

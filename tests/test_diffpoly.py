@@ -50,7 +50,7 @@ def test_mul_merges_like_monomials():
     p = leaf(1)
     q = p * p
     assert q == DiffPolynomial({mono(("phi", 1, 1), ("phi", 1, 1)): ONE})
-    assert (q + q.scale(-1)).is_zero()
+    assert not (q + q.scale(-1))
 
 
 def test_d_x_product_rule_frozen():
@@ -197,7 +197,7 @@ def test_time_derivative_chain_rule():
 
 def test_time_derivative_of_constant_is_zero():
     rules, _ = k2_rules()
-    assert time_derivative(DiffPolynomial.constant(ONE), 2, rules).is_zero()
+    assert not time_derivative(DiffPolynomial.constant(ONE), 2, rules)
 
 
 def test_time_derivative_tags_missing_rules():

@@ -69,7 +69,7 @@ def test_zero_divisors_standard_branch():
         (F0.one + F0.c).inv()
     with pytest.raises(ZeroInverse):
         (F0.one - F0.c).inv()
-    assert ((F0.one + F0.c) * (F0.one - F0.c)).is_zero()
+    assert not ((F0.one + F0.c) * (F0.one - F0.c))
     # the same element is invertible for s=1
     (F1.one + F1.c).inv()
 
@@ -131,7 +131,7 @@ def test_truthiness_is_the_zero_test(s, data):
     field = CoeffField(s)
     x = data.draw(elements(field))
     for y in (x, x - x, x * field.c, field.zero, field.c):
-        assert bool(y) == (not y.is_zero())
+        assert bool(y) == (y != field.zero)
 
 
 @given(st.sampled_from([0, 1]), st.data())
@@ -197,7 +197,7 @@ def test_field_axioms_random(s, data):
         xi = x.inv()
     except ZeroInverse:
         if field.s == 1:
-            assert x.is_zero()
+            assert not x
     else:
         assert x * xi == field.one
 

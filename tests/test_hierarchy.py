@@ -137,8 +137,8 @@ def test_flows_commute():
         for i in (2, 3, 4):
             for j in (2, 3, 4):
                 if i < j:
-                    assert flow_commutator(ks[i], ks[j], "phi").is_zero()
-                    assert flow_commutator(hs[i], hs[j], "vphi").is_zero()
+                    assert not flow_commutator(ks[i], ks[j], "phi")
+                    assert not flow_commutator(hs[i], hs[j], "vphi")
 
 
 def test_noncommuting_pair_is_detected():
@@ -148,7 +148,7 @@ def test_noncommuting_pair_is_detected():
     fake = leaf(F1, "phi", 1, 5) + (leaf(F1, "phi", 1, 1) * leaf(F1, "phi", 1, 3)).scale(
         a2 / a1
     )
-    assert not flow_commutator(k2, fake, "phi").is_zero()
+    assert flow_commutator(k2, fake, "phi")
 
 
 def test_zero_dispersive_coefficient_rejected():

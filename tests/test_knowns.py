@@ -47,7 +47,7 @@ def test_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
-    assert (p - p).is_zero()
+    assert not (p - p)
 
 
 def test_scalar_interop():
@@ -70,7 +70,7 @@ def test_split_linear():
     # linear-with-known-coefficients is fine even when the coefficient involves b
     lin2, rest2 = (b * a1).split_linear(["a1"])
     assert lin2["a1"] == b
-    assert rest2.is_zero()
+    assert not rest2
 
 
 def test_substitute_and_evaluate():

@@ -19,6 +19,7 @@ from asymint.lattice import (
     ProfileBuilder,
     SolitonData,
     _fit_slope,
+    _on_jets,
     error_scaling,
     integrate,
     rhs,
@@ -233,14 +234,17 @@ def test_profile_domain_checks(engine):
 
 def test_profile_rejects_a_field_it_does_not_carry(engine):
     rep = engine(1, 5)
-    builder = ProfileBuilder(rep, 0.2, 32)
     jets = {1: np.full(32, 2.0)}
+
+    def on_window(poly):
+        return _on_jets(poly, jets, lambda coeff: coeff.eval_float(H), 0.0)
+
     carried = DiffPolynomial.leaf(FieldSymbol("phi", 1), 1, rep.field.one)
-    assert np.all(builder._poly(carried, jets, H) == 2.0)
+    assert np.all(on_window(carried) == 2.0)
     with pytest.raises(DomainError):
-        builder._poly(DiffPolynomial.leaf(FieldSymbol("phi", 2), 1, rep.field.one), jets, H)
+        on_window(DiffPolynomial.leaf(FieldSymbol("phi", 2), 1, rep.field.one))
     with pytest.raises(DomainError, match="order 2"):
-        builder._poly(DiffPolynomial.leaf(FieldSymbol("phi", 1), 2, rep.field.one), jets, H)
+        on_window(DiffPolynomial.leaf(FieldSymbol("phi", 1), 2, rep.field.one))
 
 
 @pytest.mark.parametrize("dt, steps", [

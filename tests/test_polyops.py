@@ -1,5 +1,6 @@
 """Kernels for dense integer polynomials in h."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -210,3 +211,40 @@ def test_an_inexact_division_raises_after_an_exact_quotient_by_the_same_divisor_
     for _ in range(2):  # a failure is never cached
         with pytest.raises(ArithmeticError):
             P.pdivexact(inexact, b)
+
+
+# --- sympy oracle: the Z[h] Sturm chain and the pseudo-remainder under it --------
+
+# rational roots, with 0, 1 and 1/2 drawn often so that endpoint and repeated roots occur
+roots = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+                  st.fractions(min_value=-2, max_value=2, max_denominator=12))
+linear_factors = st.lists(roots.map(lambda r: (-r.numerator, r.denominator)), max_size=6)
+nonzero = st.lists(st.integers(-30, 30), min_size=1, max_size=8).map(P.pnormalize).filter(bool)
+root_products = st.tuples(st.integers(-5, 5).filter(bool), linear_factors).map(
+    lambda pair: functools.reduce(P.pmul, pair[1], (pair[0],)))
+unit_interval_polys = st.one_of(
+    nonzero,  # random coefficients, constants among them
+    root_products,  # products of rational linear factors, times a constant of either sign
+    st.tuples(root_products, nonzero).map(lambda pair: P.pmul(*pair)),  # the two mixed
+)
+
+
+@given(unit_interval_polys)
+@settings(max_examples=300, deadline=None)  # the first call imports sympy
+def test_unit_interval_root_count_matches_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    want = len({r for r in sympy.real_roots(sympy_poly(a)) if 0 < r < 1})
+    assert P.count_roots_open_unit_interval(a) == want
+
+
+@given(operands, operands.filter(bool))
+@settings(deadline=None)  # the first call imports sympy
+def test_pseudo_remainder_matches_sympy_up_to_a_power_of_the_divisor_lead(a, b):
+    sympy = pytest.importorskip("sympy")
+    r = P.ppseudo_rem(a, b)
+    assert P.pdegree(r) < P.pdegree(b)
+    # sympy multiplies by lc(b)^(deg a - deg b + 1); the kernel skips the
+    # factors of the steps in which the degree drops by more than one
+    want = from_sympy(sympy.prem(sympy_poly(a), sympy_poly(b)))
+    top = max(P.pdegree(a) - P.pdegree(b) + 1, 0)
+    assert any(P.pscale(r, b[-1] ** j) == want for j in range(top + 1))
