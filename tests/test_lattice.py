@@ -104,20 +104,58 @@ def test_rhs_wraps_the_smallest_windows(sites):
         assert np.allclose(got, roll_rhs(f, s), rtol=0, atol=1e-14)
 
 
+def test_rhs_writes_the_scaled_slope_into_the_given_buffers():
+    state = random_state()
+    before = state.values.copy()
+    for s in (0, 1, 0.5, -1):
+        want = rhs(state, s)
+        for scale in (0.01, 0.5, 3.7):
+            out = np.empty_like(want)
+            got = rhs(state, s, scale, out)
+            assert got is out
+            # the scale rides in the scalars: equal up to a rounding of the largest entry
+            assert np.max(np.abs(got - scale * want)) <= 1e-15 * np.max(np.abs(scale * want)), (s, scale)
+            assert np.array_equal(rhs(state, s, scale, np.empty_like(want), np.empty_like(want)), got)
+    assert np.array_equal(state.values, before)
+
+
 def test_integrate_matches_the_out_of_place_scheme():
-    # classical RK4 written out: fresh arrays for every stage and slope
+    # classical RK4 written out: fresh arrays for every stage and slope, on
+    # the wrapped windows, a real-valued window and every branch of rhs
     dt, steps = 0.02, 200
+    for sites in (1, 2, 3, 64):
+        for real in (False, True):
+            start = random_state(sites=sites)
+            if real:
+                start.values = start.values.real / np.max(np.abs(start.values.real))
+            for s in (0, 1, 0.5, -1):
+                y = start.values
+                for _ in range(steps):
+                    k1 = roll_rhs(y, s)
+                    k2 = roll_rhs(y + 0.5 * dt * k1, s)
+                    k3 = roll_rhs(y + 0.5 * dt * k2, s)
+                    k4 = roll_rhs(y + dt * k3, s)
+                    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                final = integrate(start, dt, steps, s)
+                assert np.max(np.abs(final.values - y)) < 1e-12, (sites, real, s)
+                assert final.time == pytest.approx(steps * dt, abs=1e-12)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 5])
+def test_integrate_calls_the_module_rhs_four_times_a_step(monkeypatch, steps):
+    # the benchmark tracer counts rhs calls by patching this module attribute
+    import asymint.lattice
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(asymint.lattice, "rhs", counting)
     for s in (0, 1):
-        y = random_state().values
-        for _ in range(steps):
-            k1 = roll_rhs(y, s)
-            k2 = roll_rhs(y + 0.5 * dt * k1, s)
-            k3 = roll_rhs(y + 0.5 * dt * k2, s)
-            k4 = roll_rhs(y + dt * k3, s)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        final = integrate(random_state(), dt, steps, s)
-        assert np.max(np.abs(final.values - y)) < 1e-12
-        assert final.time == pytest.approx(steps * dt, abs=1e-12)
+        integrate(random_state(), 0.02, steps, s)
+    assert calls == [0] * (4 * steps) + [1] * (4 * steps)
 
 
 def test_integrate_leaves_the_input_state_untouched():
