@@ -1,18 +1,16 @@
 """Command-line frontend.
 
 Every artifact is deterministic: identical configuration produces
-byte-identical JSON/CSV output, so reports can be diffed and cached.
+byte-identical JSON/CSV output, so reports can be diffed.
 Each command returns its artifact text and exit code; `main` alone writes
 the text to --out or stdout and then prints one `[<command>] N.NNs` timing
 line on stderr.  Exit codes: 0 on success, 2 when a commutation verdict
 is FAIL, 1 on usage errors, out-of-domain input, a run out of memory or
-an unwritable output path or cache directory (found before any
-computation starts), with one error line on stderr and no artifact.
+an unwritable output path (found before any computation starts), with one
+error line on stderr and no artifact.
 
-Start-up loads only what every command runs: `hashlib`, `tempfile` and
-`pathlib` are imported by the opt-in artifact cache alone, once CACHE_ENV
-names a directory, and numpy by the lattice code that `validate` runs.
-A cache entry is keyed by the source digest and every option but --out.
+Start-up loads only what every command runs; numpy is imported by the
+lattice code that `validate` runs.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .compatibility import build_problem, solve_compatibility
@@ -33,8 +31,6 @@ from .field import CoeffField
 from .jordan import jordan_coefficients, sample_window, verify_on_sequence
 from .lattice import error_scaling
 from .reduction import run_reduction
-
-CACHE_ENV = "ASYMINT_CACHE_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,51 +121,6 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _source_digest() -> str:
-    """sha256 of the package's Python sources, so an edited program never
-    reads an artifact that another version of the code wrote."""
-    import hashlib
-    from pathlib import Path
-
-    digest = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()
-
-
-def _cached(args, payload: Callable[[], dict]) -> str:
-    """The JSON text of `payload()`, reused from a cache file when the
-    environment names a cache directory.  The key is the digest of the
-    sources plus every parsed argument but --out; a new entry is written to
-    a temporary file and then renamed into place, so a reader never sees a
-    partial one.  An unusable cache directory fails before the build."""
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return _json_text(payload())
-    import hashlib
-    import tempfile
-
-    os.makedirs(cache_dir, exist_ok=True)
-    key = repr(sorted(item for item in vars(args).items() if item[0] != "out"))
-    digest = hashlib.sha256(f"{_source_digest()}|{key}".encode()).hexdigest()[:24]
-    path = os.path.join(cache_dir, f"asymint-{digest}.json")
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    if not os.access(cache_dir, os.W_OK):
-        raise OSError(f"cannot write the cache directory {cache_dir}")
-    text = _json_text(payload())
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return text
-
-
 # --- subcommands -----------------------------------------------------------------
 
 
@@ -183,8 +134,11 @@ def _cmd_dims(args) -> Tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _reduction_payload(s: int, order: int, h: Optional[Fraction]) -> dict:
-    rep = run_reduction(CoeffField(s), order=order)
+def _cmd_reduce(args) -> Tuple[str, int]:
+    h = args.h
+    if h is not None and not 0 < h < 1:
+        raise DomainError(f"h must lie in (0, 1), got {h}")
+    rep = run_reduction(CoeffField(args.s), order=args.order)
     payload = {
         "schema": "asymint.reduce/1",
         "s": rep.s,
@@ -218,30 +172,24 @@ def _reduction_payload(s: int, order: int, h: Optional[Fraction]) -> dict:
                 for name, f in sorted(rep.forcings.items())
             },
         }
-    return payload
+    return _json_text(payload), 0
 
 
-def _cmd_reduce(args) -> Tuple[str, int]:
-    if args.h is not None and not 0 < args.h < 1:
-        raise DomainError(f"h must lie in (0, 1), got {args.h}")
-    return _cached(args, lambda: _reduction_payload(args.s, args.order, args.h)), 0
-
-
-def _check_payload(s: int, order: int, symbolic: bool) -> dict:
-    rep = run_reduction(CoeffField(s), order=order)
-    problem = build_problem(rep, order)
+def _cmd_check(args) -> Tuple[str, int]:
+    rep = run_reduction(CoeffField(args.s), order=args.order)
+    problem = build_problem(rep, args.order)
     out = solve_compatibility(problem)
-    if symbolic:
+    if args.symbolic_knowns:
         solved = {name: poly.text() for name, poly in sorted(out.solved_coefficients.items())}
     else:
         solved = {
             name: poly.evaluate(problem.known_values).text()
             for name, poly in sorted(out.solved_coefficients.items())
         }
-    return {
+    payload = {
         "schema": "asymint.check/1",
-        "s": s,
-        "order": order,
+        "s": args.s,
+        "order": args.order,
         "variant": out.variant,
         "solved": solved,
         "constraints": [c.text() for c in out.residual_constraints],
@@ -249,18 +197,14 @@ def _check_payload(s: int, order: int, symbolic: bool) -> dict:
         "verdict": out.verdict,
         "witness": out.witness,
     }
-
-
-def _cmd_check(args) -> Tuple[str, int]:
-    text = _cached(args, lambda: _check_payload(args.s, args.order, args.symbolic_knowns))
-    return text, 2 if json.loads(text)["verdict"] == "FAIL" else 0
+    return _json_text(payload), 2 if out.verdict == "FAIL" else 0
 
 
 def _cmd_jordan(args) -> Tuple[str, int]:
     degree = None
     if args.verify is not None:
         kind, _, rest = args.verify.partition(":")
-        if kind != "poly" or not rest.isdigit():
+        if kind != "poly" or not rest.isdecimal():
             raise ValueError("--verify expects poly:D")
         degree = int(rest)
     exp = jordan_coefficients(args.j, args.omega, args.max_i, p=args.p)
@@ -307,7 +251,7 @@ EXPECTED_PATTERN = {
 }
 
 
-def _proposition_payload() -> dict:
+def _cmd_proposition(args) -> Tuple[str, int]:
     branches: Dict[str, dict] = {}
     for s in (0, 1):
         rep = run_reduction(CoeffField(s), order=9)
@@ -324,18 +268,14 @@ def _proposition_payload() -> dict:
         for s, orders in EXPECTED_PATTERN.items()
         for order, verdict in orders.items()
     )
-    return {
+    payload = {
         "schema": "asymint.proposition/1",
         "engine": f"asymint {__version__}",
         "branches": branches,
         "expected": EXPECTED_PATTERN,
         "reproduced": reproduced,
     }
-
-
-def _cmd_proposition(args) -> Tuple[str, int]:
-    text = _cached(args, _proposition_payload)
-    return text, 0 if json.loads(text)["reproduced"] else 2
+    return _json_text(payload), 0 if reproduced else 2
 
 
 _COMMANDS = {

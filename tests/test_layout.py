@@ -4,7 +4,8 @@ Every function or class defined in the package must be named somewhere in
 the package outside its own definition: a name that only tests use is a
 reference implementation and belongs in tests/oracles.py, and a name that
 nothing uses is dead.  Dunder methods are called by the interpreter, and
-the allow-list holds hooks that a library calls by name.
+the allow-list holds hooks that a library calls by name.  No module reads
+the environment: every choice a command makes is one of its options.
 """
 
 import ast
@@ -14,6 +15,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "asymint"
 
 # argparse calls ArgumentParser.error on a usage error
 ALLOWED = {"_Parser.error"}
+
+# the os names that read or write the process environment
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
 
 def _definitions(tree):
@@ -38,9 +42,13 @@ def _references(tree):
             yield node.attr, node.lineno
 
 
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def unreferenced():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     refs = [(file, name, line) for file, tree in trees.items()
             for name, line in _references(tree)]
     found = []
@@ -59,3 +67,22 @@ def unreferenced():
 
 def test_every_definition_is_named_elsewhere_in_the_package():
     assert unreferenced() == []
+
+
+def environment_reads():
+    """file:line of every `os.<name>` or `from os import <name>` that touches
+    the process environment."""
+    found = []
+    for file, tree in _trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{file}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    alias.name in ENVIRONMENT for alias in node.names):
+                found.append(f"{file}:{node.lineno}")
+    return found
+
+
+def test_no_module_reads_the_environment():
+    assert environment_reads() == []
