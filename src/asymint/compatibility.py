@@ -32,7 +32,7 @@ from .errors import InconsistentSystemError, ZeroInverse
 from .field import CoeffElement, CoeffField
 from .hierarchy import FlowHierarchy
 from .knowns import KnownPoly
-from .labels import NINTH_ORDER, T2_SECOND, T3_SECOND, LabeledBasis, generic_basis
+from .labels import NINTH_ORDER, T2_SECOND, T3_SECOND, LabeledBasis
 
 
 class CompatibilityProblem(NamedTuple):
@@ -240,7 +240,7 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
     rules.set("phi", 2, 3, _lifted(field, hier.linearized(3, beta3, "phi", 2)) + f_t3_solved)
 
     kind, third, name = NINTH_ORDER[variant]
-    ansatz_basis = generic_basis("q", third.weight + 2, third.grading, 2)
+    ansatz_basis = LabeledBasis("q", third.weight + 2, third.grading, 2)
     known_values = problem.known_values
     known_values.update(_filled(third, engine_report.forcings[name].coefficients, field))
     if kind == "vphi":

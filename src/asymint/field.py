@@ -235,13 +235,10 @@ class CoeffElement:
     def _lift(self, other: ScalarLike) -> Optional["CoeffElement"]:
         """Coerce, raising on cross-field mixing but deferring (None) on
         foreign types so Python can try the reflected operation."""
-        if isinstance(other, CoeffElement):
-            if other.field != self.field:
-                raise ValueError("elements belong to different CoeffFields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(Fraction(other))
-        return None
+        try:
+            return self.field.coerce(other)
+        except TypeError:
+            return None
 
     def __add__(self, other: ScalarLike) -> "CoeffElement":
         o = other if type(other) is CoeffElement and other.field is self.field else self._lift(other)
@@ -323,11 +320,10 @@ class CoeffElement:
         return self.even.eval(h), self.odd.eval(h)
 
     def eval_float(self, h) -> float:
-        """Float value with c = sqrt(1 - s h^2)."""
+        """Float value with c the positive square root of the field's c^2."""
         hq = Fraction(h) if not isinstance(h, Fraction) else h
         ev, od = self.eval_exact(hq)
-        rad = 1 - self.field.s * hq * hq
-        return float(ev) + float(od) * _fsqrt(float(rad))
+        return float(ev) + float(od) * _fsqrt(float(self.field._radicand.eval(hq)))
 
     def text(self) -> str:
         """Canonical display: '(even)/den + (odd)/den*c' with reduced parts."""

@@ -9,7 +9,7 @@ is part of the output contract and is frozen here.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .diffpoly import DiffPolynomial, Monomial, enumerate_basis, mono, monomial_text
 from .errors import GradingError
@@ -18,15 +18,19 @@ from .knowns import KnownPoly
 
 
 class LabeledBasis:
-    """A graded monomial basis with one name per monomial, in display order;
-    GradingError when the pairs do not enumerate the graded space."""
+    """A graded monomial basis with one name per monomial, in display order.
+
+    Without pairs the monomials are named prefix1..n in enumeration order;
+    given pairs, GradingError when they do not enumerate the graded space."""
 
     __slots__ = ("prefix", "weight", "grading", "max_index", "pairs")
 
     def __init__(self, prefix: str, weight: int, grading: str, max_index: int,
-                 pairs: Tuple[Tuple[str, Monomial], ...]):
+                 pairs: Optional[Tuple[Tuple[str, Monomial], ...]] = None):
         space = enumerate_basis(weight, grading, max_index)
-        if set(m for _, m in pairs) != set(space) or len(pairs) != len(space):
+        if pairs is None:
+            pairs = tuple((f"{prefix}{i + 1}", m) for i, m in enumerate(space))
+        elif set(m for _, m in pairs) != set(space) or len(pairs) != len(space):
             raise GradingError(f"label table {prefix} does not enumerate the graded space")
         self.prefix = prefix
         self.weight = weight
@@ -121,10 +125,3 @@ T2_THIRD_KDV = LabeledBasis(
 # Per ninth-order variant: the field kind of the t2 forcing on the third
 # correction field, its labeled basis, and its name in the reduction report.
 NINTH_ORDER = {"potential": ("phi", T2_THIRD, "h_t2"), "kdv": ("vphi", T2_THIRD_KDV, "g_t2")}
-
-
-def generic_basis(prefix: str, weight: int, grading: str, max_index: int) -> LabeledBasis:
-    """Enumeration-ordered labels for spaces without a frozen display order."""
-    space = enumerate_basis(weight, grading, max_index)
-    pairs = tuple((f"{prefix}{i + 1}", m) for i, m in enumerate(space))
-    return LabeledBasis(prefix, weight, grading, max_index, pairs)

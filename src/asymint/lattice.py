@@ -307,7 +307,7 @@ class ProfileBuilder:
         u_inf = -2.0 * (A / B) / length
         v_hat = v - 2.0 * a2 * u_inf
         drift = a2 * u_inf**2
-        c = math.sqrt(1.0 - rep.s * h * h)
+        c = rep.field.c.eval_float(h)
         n = np.arange(self.window)
         x = eps * h * n - c * eps * t
         t2 = eps**3 * t

@@ -14,11 +14,11 @@ forcings.  Removing the secular single-derivative monomial fixes the flow
 normalization beta_j; whatever remains beside the linearized flows is the
 forcing polynomial, reported through its labeled graded basis.
 
-The ninth order is one stage with two variants.  In the potential variant
-the split runs on phi^(3), as the seventh order's runs on phi^(2).  The kdv
-variant is taken when the forcing is not an exact x-derivative (the on-site
-lattice): the split then runs on the differentiated equation, with every
-d^ell phi^(j) renamed to d^(ell-1) vphi^(j).
+The seventh and ninth orders run one stage, which splits on phi^(2) and
+phi^(3) respectively.  The ninth order has two variants.  The kdv variant is
+taken when the forcing is not an exact x-derivative (the on-site lattice):
+the split then runs on the differentiated equation, with every d^ell phi^(j)
+renamed to d^(ell-1) vphi^(j).
 """
 
 from __future__ import annotations
@@ -221,25 +221,17 @@ def lattice_residual_series(
             put(dnu_dt, 2 * j + 2 * m - 1, FieldSymbol("nu", j, (m,)), 0, one)
     phi, nu, dphi_dt, dnu_dt = (EpsSeries(limit, o) for o in (phi, nu, dphi_dt, dnu_dt))
 
-    nu_up = expand_shifts(nu, +1, zeta)
-    nu_dn = expand_shifts(nu, -1, zeta)
-    arg_up = expand_shifts(phi, +1, zeta) - phi
-    arg_dn = expand_shifts(phi, -1, zeta) - phi
-
-    sin_sum = (
-        expand_analytic("sqrt", nu * nu_up, field) * expand_analytic("sin", arg_up, field)
-        + expand_analytic("sqrt", nu * nu_dn, field)
-        * expand_analytic("sin", arg_dn, field)
-    )
-    rhs_nu = (nu.scale_all(sigma * field.s) - EpsSeries.constant(limit, inv_h2)) * sin_sum
-
+    # n+1 before n-1: each sum keeps the term order its exact scalar work depends on
     recip_nu = expand_analytic("recip", nu, field)
-    cos_sum = (
-        expand_analytic("sqrt", nu_up * recip_nu, field)
-        * expand_analytic("cos", arg_up, field)
-        + expand_analytic("sqrt", nu_dn * recip_nu, field)
-        * expand_analytic("cos", arg_dn, field)
-    )
+    sin_sum = cos_sum = EpsSeries(limit)
+    for direction in (+1, -1):
+        nu_next = expand_shifts(nu, direction, zeta)
+        arg = expand_shifts(phi, direction, zeta) - phi
+        sin_sum += expand_analytic("sqrt", nu * nu_next, field) * expand_analytic("sin", arg, field)
+        cos_sum += (
+            expand_analytic("sqrt", nu_next * recip_nu, field) * expand_analytic("cos", arg, field)
+        )
+    rhs_nu = (nu.scale_all(sigma * field.s) - EpsSeries.constant(limit, inv_h2)) * sin_sum
     rhs_phi = (
         EpsSeries.constant(limit, -inv_h2)
         + nu.scale_all(sigma * (field.s - 1))
@@ -388,33 +380,60 @@ class ReductionReport:
             f"eps^5: t2 flow; alpha1 = {alpha1.text()}, alpha2 = {alpha2.text()}"
         )
 
-    def stage_t3(self) -> None:
+    def stage_tj(self, j: int) -> None:
+        """eps^(2j+1) for j = 3, 4: the t_j flow of phi^(1) and the t2 rule of
+        phi^(j-1).  The known remainder, integrated once, holds K_j, whose
+        normalization beta_j is its d^(2j-1) phi^(1) coefficient: no other
+        choice cancels that secular monomial.  What is left beside K_j splits
+        into the linearized t2 flow on phi^(j-1) and the forcing.  At the
+        ninth order alone the remainder may fail to be an exact x-derivative
+        (kdv, the on-site lattice): the combined unknown then enters as d_x
+        of the evolutions, so the split runs on the differentiated equation,
+        renamed to the derivative fields vphi and matched against H_j."""
+        k = 2 * j + 1
         lam, known = self.phase_residual(
-            7, {FieldSymbol("phi", 1, (3,)), FieldSymbol("phi", 2, (2,))}
+            k, {FieldSymbol("phi", 1, (j,)), FieldSymbol("phi", j - 1, (2,))}
         )
-        combined = known.integrate_x().scale(-(lam.inv()))
-
-        def coeff(*factors) -> CoeffElement:
-            return combined.terms.get(mono(*factors), self.field.zero)
-
-        beta3 = coeff(("phi", 1, 5))
-        flow3 = self.hier.flow(3, beta3)
-        rule, forcing = self.split_forcing(combined - flow3, "phi", 2, T2_SECOND, "eps^7")
-        self.betas[3] = beta3
-        self.alphas[3] = coeff(("phi", 1, 2), ("phi", 1, 2))
-        self.alphas[4] = coeff(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1))
-        self.alphas[5] = coeff(("phi", 1, 1), ("phi", 1, 3))
-        # the fifth-derivative coefficient is itself the flow normalization:
-        # no other choice of beta3 cancels the secular monomial
-        self.alphas[6] = beta3
-        self.flows["K3"] = flow3
-        self.rules.set("phi", 1, 3, flow3)
-        self.rules.set("phi", 2, 2, rule)
-        self.forcings["f_t2"] = forcing
-        self.stage_log.append(
-            f"eps^7: t3 flow and first forcing; beta3 = {beta3.text()}, "
-            + ", ".join(f"{n} = {v.text()}" for n, v in sorted(forcing.coefficients.items()))
-        )
+        scale = -(lam.inv())
+        try:
+            combined = known.integrate_x().scale(scale)
+            variant = "potential"
+        except NonLocalError:
+            if j == 3:
+                raise
+            combined = known.scale(scale).rename_to_kdv()
+            variant = "kdv"
+        kind, basis, name = ("phi", T2_SECOND, "f_t2") if j == 3 else NINTH_ORDER[variant]
+        beta = combined.terms.get(mono((kind, 1, 2 * j - 1)), self.field.zero)
+        flow = self.hier.flow(j, beta)
+        # kdv_flow rebuilds K_j: reusing `flow` would change the pinned scalar-op counts
+        sector = self.hier.kdv_flow(j, beta) if kind == "vphi" else flow
+        rule, forcing = self.split_forcing(combined - sector, kind, j - 1, basis, f"eps^{k}")
+        self.betas[j] = beta
+        self.flows[f"K{j}"] = flow
+        self.forcings[name] = forcing
+        if kind == "phi":
+            self.rules.set("phi", 1, j, flow)
+            self.rules.set("phi", j - 1, 2, rule)
+        else:
+            self.kdv_rules = self._build_kdv_rules(rule)
+        if j == 3:
+            terms, zero = combined.terms, self.field.zero
+            self.alphas[3] = terms.get(mono(("phi", 1, 2), ("phi", 1, 2)), zero)
+            self.alphas[4] = terms.get(mono(("phi", 1, 1), ("phi", 1, 1), ("phi", 1, 1)), zero)
+            self.alphas[5] = terms.get(mono(("phi", 1, 1), ("phi", 1, 3)), zero)
+            self.alphas[6] = beta
+            self.stage_log.append(
+                f"eps^7: t3 flow and first forcing; beta3 = {beta.text()}, "
+                + ", ".join(f"{n} = {v.text()}" for n, v in sorted(forcing.coefficients.items()))
+            )
+        else:
+            self.variant = variant
+            split = "potential split" if kind == "phi" else "derivative-field split"
+            self.stage_log.append(
+                f"eps^9: {split}; beta4 = {beta.text()}, "
+                f"{sum(1 for v in forcing.coefficients.values() if v)} forcing coefficients"
+            )
 
     def prepare_t3_correction(self) -> None:
         """The t3 rule for phi^(2): linearized third flow plus the correction
@@ -433,42 +452,6 @@ class ReductionReport:
         self.forcings["f_t3"] = Forcing(T3_SECOND.space, b_values, forcing)
         self.stage_log.append(
             "eps^9 prep: t3 correction for phi^(2) fixed by cross-derivative identity"
-        )
-
-    def stage_t4(self) -> None:
-        """The ninth order, in one of two variants.  When the known remainder
-        is an exact x-derivative (potential), it splits on phi^(3) as the
-        seventh order splits on phi^(2).  Otherwise (kdv, the on-site
-        lattice) the combined unknown enters as d_x of the evolutions, so
-        the split runs on the differentiated equation, renamed to the
-        derivative fields vphi and matched against the companion flows H_j."""
-        lam, known = self.phase_residual(
-            9, {FieldSymbol("phi", 1, (4,)), FieldSymbol("phi", 3, (2,))}
-        )
-        try:
-            combined = known.integrate_x().scale(-(lam.inv()))
-            self.variant = "potential"
-        except NonLocalError:
-            combined = known.scale(-(lam.inv())).rename_to_kdv()
-            self.variant = "kdv"
-        kind, third, name = NINTH_ORDER[self.variant]
-        beta4 = combined.terms.get(mono((kind, 1, 7)), self.field.zero)
-        flow4 = self.hier.kdv_flow(4, beta4) if kind == "vphi" else self.hier.flow(4, beta4)
-        rule, forcing = self.split_forcing(combined - flow4, kind, 3, third, "eps^9")
-        self.betas[4] = beta4
-        self.forcings[name] = forcing
-        if kind == "phi":
-            self.flows["K4"] = flow4
-            self.rules.set("phi", 1, 4, flow4)
-            self.rules.set("phi", 3, 2, rule)
-            split = "potential split"
-        else:
-            self.flows["K4"] = self.hier.flow(4, beta4)
-            self.kdv_rules = self._build_kdv_rules(rule)
-            split = "derivative-field split"
-        self.stage_log.append(
-            f"eps^9: {split}; beta4 = {beta4.text()}, "
-            f"{sum(1 for v in forcing.coefficients.values() if v)} forcing coefficients"
         )
 
     def split_forcing(
@@ -593,18 +576,16 @@ def run_reduction(field: CoeffField, order: int = 9) -> ReductionReport:
     exists) raises ValueError before any expansion work."""
     report = ReductionReport(field, order)
     report.check_parity()
-    stages: Dict[int, Callable[[], None]] = {
-        3: report.stage_dispersion,
-        5: report.stage_t2,
-        7: report.stage_t3,
-        9: report.stage_t4,
-    }
     report.stage_log.append(f"eps^3: {report.dispersion.general_text} (sigma = +1 selected)")
     for k in range(2, order + 1):
         if k % 2 == 0:
             report.solve_amplitude(k)
             if k == 8:
                 report.prepare_t3_correction()
+        elif k == 3:
+            report.stage_dispersion()
+        elif k == 5:
+            report.stage_t2()
         else:
-            stages[k]()
+            report.stage_tj(k // 2)
     return report

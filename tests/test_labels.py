@@ -17,7 +17,6 @@ from asymint.labels import (
     T2_THIRD_KDV,
     T3_SECOND,
     LabeledBasis,
-    generic_basis,
 )
 
 F = CoeffField(1)
@@ -46,8 +45,8 @@ def test_frozen_tables_cover_their_spaces():
 
 
 def test_generic_basis_dimensions():
-    assert len(generic_basis("q", 10, "potential", 2).labels) == 24
-    assert len(generic_basis("q", 11, "kdv", 2).labels) == 31
+    assert len(LabeledBasis("q", 10, "potential", 2).labels) == 24
+    assert len(LabeledBasis("q", 11, "kdv", 2).labels) == 31
 
 
 def test_ansatz_express_round_trip():

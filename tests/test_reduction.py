@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from asymint.diffpoly import DiffPolynomial, FieldSymbol, mono
-from asymint.errors import InconsistentSystemError, SecularResidueError
+from asymint.errors import InconsistentSystemError, NonLocalError, SecularResidueError
 from asymint.field import CoeffField
 from asymint.hierarchy import FlowHierarchy
 from asymint import reduction
@@ -159,6 +159,31 @@ def test_low_order_report_is_a_prefix(engine):
     assert set(rep.flows) == {"K2"}
     assert rep.variant is None
     assert rep.forcings == {}
+    # the eps^7 and eps^9 stages share one method: no ninth-order state may
+    # leak into an order-7 report
+    for s in (0, 1):
+        seven, nine = engine(s, 7), engine(s, 9)
+        assert seven.variant is None and seven.kdv_rules is None
+        assert set(seven.forcings) == {"f_t2"}
+        assert seven.forcings["f_t2"].coefficients == nine.forcings["f_t2"].coefficients
+        assert set(seven.flows) == {"K2", "K3"}
+        assert seven.alphas == nine.alphas
+        assert seven.stage_log == nine.stage_log[:7]
+
+
+def test_no_kdv_fallback_below_the_ninth_order():
+    run = ReductionReport(CoeffField(1), 7)
+    one = run.field.one
+    phi1_x = leaf(run.field, "phi", 1, 1)
+    unknowns = DiffPolynomial.leaf(FieldSymbol("phi", 1, (3,)), 1, one) + DiffPolynomial.leaf(
+        FieldSymbol("phi", 2, (2,)), 1, one
+    )
+    # (phi1_x)^2 has no antiderivative, which at eps^9 selects the kdv split
+    run.r_nu = EpsSeries(7, {7: unknowns + phi1_x * phi1_x})
+    with pytest.raises(NonLocalError):
+        run.stage_tj(3)
+    assert run.variant is None
+    assert run.forcings == {}
 
 
 def test_unknown_order_is_rejected(monkeypatch):
