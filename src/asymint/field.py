@@ -90,6 +90,11 @@ class RatFunc:
         # cross-cancel first to keep intermediates small; den keeps a positive lead
         g1 = P.pgcd(n1, d2)
         g2 = P.pgcd(n2, d1)
+        # a unit operand returns the other one, after the two counted gcds
+        if self is _RAT_ONE:
+            return other
+        if other is _RAT_ONE:
+            return self
         if g1 != P.ONE:
             n1, d2 = P.pdivexact(n1, g1), P.pdivexact(d2, g1)
         if g2 != P.ONE:
@@ -268,7 +273,11 @@ class CoeffElement:
         if o is None:
             return NotImplemented
         a, b, c, d = self.even, self.odd, o.even, o.odd
-        return _element(self.field, a * c + b * d * self.field._radicand, a * d + b * c)
+        even, odd = a * c + b * d * self.field._radicand, a * d + b * c
+        # times one: the unit products hand back the operand's own parts
+        if even is a and odd is b:
+            return self
+        return _element(self.field, even, odd)
 
     __rmul__ = __mul__
 

@@ -101,10 +101,20 @@ class KnownPoly(SparseSum):
         """Replace each mapped name by its polynomial.  Each term's product is
         formed on plain term maps with the coefficient products, in order,
         of `constant(coeff) * base * ...`, so the exact scalar work is
-        unchanged: an unmapped name still multiplies in as its symbol."""
+        unchanged: an unmapped name still multiplies in as its symbol.
+
+        A term with no mapped name skips the term maps: its coefficient is
+        multiplied by `field.one` once per unit of power, in key order, and
+        added under its own (already sorted) key."""
         field, mul_key = self.field, self._mul_key
         acc: Dict[PowKey, CoeffElement] = {}
         for key, coeff in self.terms.items():
+            if not any(name in mapping for name, _ in key):
+                if coeff:
+                    for _ in range(sum(power for _, power in key)):
+                        coeff = coeff * field.one
+                    accumulate(acc, key, coeff)
+                continue
             term = {(): coeff} if coeff else {}
             for name, power in key:
                 base = mapping.get(name)

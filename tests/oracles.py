@@ -6,16 +6,19 @@ involution of the scalar ring, the Lie bracket of two flows, the
 traveling-wave residual, the graded weight of a factor and of a monomial
 (with the GradingError checks that say which factors are gradable), the
 two Stirling triangles built by their recurrences, and the substitution of
-names in a KnownPoly through its ring operations.  The package computes
+names in a KnownPoly through its ring operations, with a recorder of the
+scalar calls (RatFunc multiplies and pgcd) that a block makes.  The package computes
 the graded bases and the difference re-expansion in closed form, and
 substitutes on plain term maps, so these share no code with what they
 check.
 """
 
 import ast
+import contextlib
 from fractions import Fraction
 from math import factorial
 
+from asymint import _polyops
 from asymint.diffpoly import DiffPolynomial, FieldSymbol, Monomial, accumulate
 from asymint.errors import GradingError, ZeroInverse
 from asymint.field import CoeffElement, CoeffField, RatFunc
@@ -216,3 +219,25 @@ def substitute_by_ring_ops(poly: KnownPoly, mapping: dict) -> KnownPoly:
         for k, c in term.terms.items():
             accumulate(acc, k, c)
     return KnownPoly(poly.field, acc)
+
+
+@contextlib.contextmanager
+def scalar_calls():
+    """Records the operands of every RatFunc multiply and pgcd call made in
+    the block, in call order; both are restored on exit."""
+    calls = []
+    mul, pgcd = RatFunc.__mul__, _polyops.pgcd
+
+    def counted_mul(a, b):
+        calls.append(("mul", a.num, a.den, b.num, b.den))
+        return mul(a, b)
+
+    def counted_pgcd(a, b):
+        calls.append(("pgcd", a, b))
+        return pgcd(a, b)
+
+    RatFunc.__mul__, _polyops.pgcd = counted_mul, counted_pgcd
+    try:
+        yield calls
+    finally:
+        RatFunc.__mul__, _polyops.pgcd = mul, pgcd

@@ -56,11 +56,13 @@ def test_tracer_patch_point_resolves(module, path):
     assert path == "ONE" or callable(target)
 
 
-# The benchmark ops that take about a second or less each.  check9_s0 and
-# check9_s1 are the order-9 eliminations, where KnownPoly.substitute does most
-# work; check9_s0 prints the FAIL witness of the s = 0 ring with zero divisors.
-CHEAP_OPS = ["check7_s0", "check7_s1", "check9_s0", "check9_s1", "reduce9_s0", "reduce9_s1",
-             "jordan"]
+# The benchmark ops that take about a second or less each.  check9_s0,
+# check9_s1 and check9_symbolic are the order-9 eliminations, where
+# KnownPoly.substitute does most work; check9_s0 prints the FAIL witness of
+# the s = 0 ring with zero divisors, and check9_symbolic keeps the knowns
+# symbolic.  Of the `verdict` ops only proposition is left out.
+CHEAP_OPS = ["check7_s0", "check7_s1", "check9_s0", "check9_s1", "check9_symbolic",
+             "reduce9_s0", "reduce9_s1", "jordan"]
 
 # Installs the tracer in a fresh interpreter (-B: no bytecode is written
 # beside it), integrates 8 sites for 3 steps, then runs each op of the
@@ -91,7 +93,7 @@ def test_tracer_size_hooks_read_the_call_shapes():
     bench = runpy.run_path(str(OPS))
     argvs = {key: list(bench["OPS"][key].argv) for key in CHEAP_OPS}
     src = str(TRACER.parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "ASYMINT_CACHE_DIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-B", "-c", SIZE_PROBE, str(TRACER.parent), json.dumps(argvs)],
@@ -113,11 +115,10 @@ def test_tracer_size_hooks_read_the_call_shapes():
 
 
 @pytest.mark.parametrize("key", CHEAP_OPS)
-def test_cheap_benchmark_artifacts_match_the_reference_sha256(key, monkeypatch):
+def test_cheap_benchmark_artifacts_match_the_reference_sha256(key):
     from asymint import cli
 
     op = runpy.run_path(str(OPS))["OPS"][key]
-    monkeypatch.delenv("ASYMINT_CACHE_DIR", raising=False)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(list(op.argv))

@@ -14,10 +14,10 @@ from hypothesis import given, strategies as st
 
 from asymint import _polyops as P
 from asymint.errors import DomainError, ZeroInverse
-from asymint.field import CoeffElement, CoeffField, RatFunc
+from asymint.field import _RAT_ONE, CoeffElement, CoeffField, RatFunc
 from asymint.knowns import KnownPoly
 
-from oracles import conjugate, parse, pinned_field, specialize
+from oracles import conjugate, parse, pinned_field, scalar_calls, specialize
 
 F0 = CoeffField(0)
 F1 = CoeffField(1)
@@ -155,6 +155,24 @@ def test_fast_built_values_are_immutable_and_equal_their_init_twins(s, data):
                 part.num = P.ONE
         with pytest.raises(AttributeError, match="CoeffElement is immutable"):
             z.even = field.one.even
+
+
+def test_a_unit_operand_returns_the_other_after_both_gcds():
+    x = RatFunc(P.pnormalize((1, 2)), P.pnormalize((3, 0, 1)))
+    for left, right in ((x, _RAT_ONE), (_RAT_ONE, x)):
+        with scalar_calls() as calls:
+            assert left * right is x
+        assert [call[0] for call in calls] == ["mul", "pgcd", "pgcd"]
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_an_element_times_one_is_itself_after_five_multiplies(s):
+    field = CoeffField(s)
+    for x in (field.h + field.from_fraction(3) * field.c / (field.one + field.h), field.c):
+        assert x.odd
+        with scalar_calls() as calls:
+            assert x * field.one is x
+        assert sum(call[0] == "mul" for call in calls) == 5
 
 
 # --- homomorphism oracle -----------------------------------------------------

@@ -1,6 +1,5 @@
 """Polynomials in named unknowns with exact lattice-parameter coefficients."""
 
-import contextlib
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,7 @@ from asymint.field import CoeffField, RatFunc
 from asymint.knowns import KnownPoly
 from asymint.lattice import SechPoly
 
-from oracles import substitute_by_ring_ops
+from oracles import scalar_calls, substitute_by_ring_ops
 
 F = CoeffField(1)
 
@@ -101,26 +100,16 @@ def known_polys(field, max_terms):
     return st.dictionaries(keys, coeffs, max_size=max_terms).map(lambda terms: KnownPoly(field, terms))
 
 
-@contextlib.contextmanager
-def scalar_calls():
-    """Records the operands of every RatFunc multiply and pgcd call made in
-    the block, in call order; both are restored on exit."""
-    calls = []
-    mul, pgcd = RatFunc.__mul__, _polyops.pgcd
-
-    def counted_mul(a, b):
-        calls.append(("mul", a.num, a.den, b.num, b.den))
-        return mul(a, b)
-
-    def counted_pgcd(a, b):
-        calls.append(("pgcd", a, b))
-        return pgcd(a, b)
-
-    RatFunc.__mul__, _polyops.pgcd = counted_mul, counted_pgcd
-    try:
-        yield calls
-    finally:
-        RatFunc.__mul__, _polyops.pgcd = mul, pgcd
+def substitute_like_the_ring_ops(poly, mapping):
+    """poly.substitute(mapping), checked to give the oracle's terms in its
+    order after the same scalar calls; returns the result and those calls."""
+    with scalar_calls() as fast:
+        got = poly.substitute(mapping)
+    with scalar_calls() as ring:
+        want = substitute_by_ring_ops(poly, mapping)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert fast == ring
+    return got, fast
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,12 +118,53 @@ def test_substitute_makes_the_ring_operations_scalar_calls(s, data):
     field = CoeffField(s)
     poly = data.draw(known_polys(field, 4))
     mapping = data.draw(st.dictionaries(st.sampled_from(NAMES), known_polys(field, 2), max_size=3))
-    with scalar_calls() as fast:
-        got = poly.substitute(mapping)
-    with scalar_calls() as ring:
-        want = substitute_by_ring_ops(poly, mapping)
-    assert list(got.terms.items()) == list(want.terms.items())
-    assert fast == ring
+    substitute_like_the_ring_ops(poly, mapping)
+
+
+# A term with no mapped name is multiplied by one per unit of power and kept
+# under its own key, without the term-map product; the coefficient that comes
+# back is the term's own, since an element times one returns itself.
+@pytest.mark.parametrize("s", [0, 1])
+def test_unmapped_terms_skip_the_term_map_product(s, monkeypatch):
+    field = CoeffField(s)
+    coeff = field.from_fraction(Fraction(2, 3)) + field.h * field.c
+    poly = KnownPoly(field, {
+        (): field.h, (("a1", 3),): coeff, (("a1", 1), ("a2", 2)): field.c,
+    })
+
+    def refuse(a, b):
+        raise AssertionError("an unmapped term went through the term-map product")
+
+    for mapping in ({}, {"u3": sym("a1")}):
+        got, calls = substitute_like_the_ring_ops(poly, mapping)
+        # one times-one product per unit of power: 5 RatFunc multiplies each
+        assert sum(call[0] == "mul" for call in calls) == 5 * (3 + 3)
+        for key, c in poly.terms.items():
+            assert got.terms[key] is c
+        with monkeypatch.context() as patch:
+            patch.setattr(KnownPoly, "_mul_key", staticmethod(refuse))
+            assert poly.substitute(mapping) == got
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_mapped_and_unmapped_terms_mix(s):
+    field = CoeffField(s)
+    a1, a2 = KnownPoly.symbol(field, "a1"), KnownPoly.symbol(field, "a2")
+    poly = KnownPoly(field, {
+        (("a1", 2), ("u3", 1)): field.h + field.c, (("a2", 4),): field.c,
+        (("c11", 1), ("u3", 2)): field.one - field.h, (): field.from_fraction(5),
+    })
+    mapping = {"u3": a1 * field.h + a2 * 2 + 1, "c11": a2 * field.c}
+    got, calls = substitute_like_the_ring_ops(poly, mapping)
+    assert calls and "u3" not in got.symbols() and "c11" not in got.symbols()
+    assert got.terms[(("a2", 4),)] is field.c
+
+
+def test_a_zero_coefficient_makes_no_scalar_call():
+    poly = KnownPoly(F, {(("a1", 2),): F.zero, (("u3", 1),): F.zero})
+    for mapping in ({}, {"u3": sym("a2") * F.h}):
+        got, calls = substitute_like_the_ring_ops(poly, mapping)
+        assert not got.terms and calls == []
 
 
 def test_scalar_calls_sees_both_kernels_and_restores_them():
