@@ -9,8 +9,8 @@ is FAIL, 1 on usage errors, out-of-domain input, a run out of memory or
 an unwritable output path (found before any computation starts), with one
 error line on stderr and no artifact.
 
-Start-up loads only what every command runs; numpy is imported by the
-lattice code that `validate` runs.
+Start-up loads every asymint module, `lattice` and `jordan` included;
+only numpy waits until the lattice code that `validate` runs imports it.
 """
 
 from __future__ import annotations

@@ -348,13 +348,13 @@ def time_derivative(
     """d_{t_m} of a differential polynomial via the chain rule.
 
     Fields without a rule become tagged leaves (strict=False) or raise
-    MissingEvolutionError (strict=True).  The fast-phase marker tau and
-    direction fields are slow-time constants.
+    MissingEvolutionError (strict=True).  The fast-phase marker tau is a
+    slow-time constant.
     """
     acc: Dict[Monomial, object] = {}
     for mon, coeff in poly.terms.items():
         for i, (sym, ell) in enumerate(mon):
-            if sym.kind in ("tau", "psi", "rho"):
+            if sym.kind == "tau":
                 continue
             rest = mon[:i] + mon[i + 1:]
             derived = _derive_leaf(sym, ell, m, rules, strict)

@@ -98,30 +98,28 @@ class KnownPoly(SparseSum):
     # --- substitution / evaluation ------------------------------------------------
 
     def substitute(self, mapping: Mapping[str, "KnownPoly"]) -> "KnownPoly":
-        """Replace each mapped name by its polynomial.  Each term's product is
-        formed on plain term maps with the coefficient products, in order,
-        of `constant(coeff) * base * ...`, so the exact scalar work is
-        unchanged: an unmapped name still multiplies in as its symbol.
-
-        A term with no mapped name skips the term maps: its coefficient is
-        multiplied by `field.one` once per unit of power, in key order, and
-        added under its own (already sorted) key."""
+        """Replace each mapped name by its polynomial, in one loop per term
+        on a plain term map that starts as `{(): coeff}`.  The coefficient
+        products, in order, are those of `constant(coeff) * base * ...`, so
+        the exact scalar work is unchanged.  An unmapped name multiplies
+        every coefficient of the map in place by `field.one` once per unit of
+        power, as its symbol would, and is kept aside for the key; a mapped
+        name expands the map through its base.  Each entry is added under its
+        key times the kept names, or under the kept names when its key is ()."""
         field, mul_key = self.field, self._mul_key
         acc: Dict[PowKey, CoeffElement] = {}
         for key, coeff in self.terms.items():
-            if not any(name in mapping for name, _ in key):
-                if coeff:
-                    for _ in range(sum(power for _, power in key)):
-                        coeff = coeff * field.one
-                    accumulate(acc, key, coeff)
-                continue
-            term = {(): coeff} if coeff else {}
+            term: Dict[PowKey, CoeffElement] = {(): coeff} if coeff else {}
+            kept: PowKey = ()
             for name, power in key:
                 base = mapping.get(name)
                 if base is None:
-                    factor = {((name, 1),): field.one}
-                else:
-                    factor = self._operand(base).terms
+                    for _ in range(power):
+                        for k in term:
+                            term[k] = term[k] * field.one
+                    kept += ((name, power),)
+                    continue
+                factor = self._operand(base).terms
                 for _ in range(power):
                     prod: Dict[PowKey, CoeffElement] = {}
                     for k1, c1 in term.items():
@@ -129,7 +127,7 @@ class KnownPoly(SparseSum):
                             accumulate(prod, mul_key(k1, k2), c1 * c2)
                     term = prod
             for k, c in term.items():
-                accumulate(acc, k, c)
+                accumulate(acc, mul_key(k, kept) if k else kept, c)
         return KnownPoly(field, acc)
 
     def evaluate(self, values: Mapping[str, CoeffElement]) -> CoeffElement:

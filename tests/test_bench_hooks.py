@@ -56,13 +56,14 @@ def test_tracer_patch_point_resolves(module, path):
     assert path == "ONE" or callable(target)
 
 
-# The benchmark ops that take about a second or less each.  check9_s0,
-# check9_s1 and check9_symbolic are the order-9 eliminations, where
-# KnownPoly.substitute does most work; check9_s0 prints the FAIL witness of
-# the s = 0 ring with zero divisors, and check9_symbolic keeps the knowns
-# symbolic.  Of the `verdict` ops only proposition is left out.
-CHEAP_OPS = ["check7_s0", "check7_s1", "check9_s0", "check9_s1", "check9_symbolic",
-             "reduce9_s0", "reduce9_s1", "jordan"]
+# The benchmark's symbolic ops, each about a second or less; only the
+# `validate` ops are left out.  proposition (orders 7 and 9 on both
+# branches), check9_s0, check9_s1 and check9_symbolic are the order-9
+# eliminations, where KnownPoly.substitute does most work, proposition the
+# most; check9_s0 prints the FAIL witness of the s = 0 ring with zero
+# divisors, and check9_symbolic keeps the knowns symbolic.
+CHEAP_OPS = ["proposition", "check7_s0", "check7_s1", "check9_s0", "check9_s1",
+             "check9_symbolic", "reduce9_s0", "reduce9_s1", "jordan"]
 
 # Installs the tracer in a fresh interpreter (-B: no bytecode is written
 # beside it), integrates 8 sites for 3 steps, then runs each op of the
@@ -125,6 +126,12 @@ def test_cheap_benchmark_artifacts_match_the_reference_sha256(key):
     assert rc == op.exit
     reference = json.loads((OPS.parent / "reference" / "sha256.json").read_text())
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == reference[key]
+
+
+def test_benchmark_self_test_flags_every_injected_fault():
+    # each gate accepts its reference and rejects its corruption: sha256,
+    # exit code, CSV row and slope, witness, `reproduced` flag and counts
+    assert runpy.run_path(str(OPS))["self_test"]() == []
 
 
 @pytest.mark.parametrize("s", [0, 1])
