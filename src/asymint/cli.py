@@ -66,18 +66,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-field", type=int, default=1)
     p.add_argument("--grading", choices=("potential", "kdv"), default="potential")
+    p.set_defaults(run=_cmd_dims)
 
     p = sub.add_parser("reduce", help="run the multiscale reduction and report the flows")
     p.add_argument("--s", type=int, choices=(0, 1), required=True)
     p.add_argument("--order", type=int, default=9)
     p.add_argument("--h", type=_fraction, default=None,
                    help="also evaluate every coefficient at this exact h")
+    p.set_defaults(run=_cmd_reduce)
 
     p = sub.add_parser("check", help="solve the commutation conditions at one order")
     p.add_argument("--s", type=int, choices=(0, 1), required=True)
     p.add_argument("--order", type=int, choices=(7, 9), required=True)
     p.add_argument("--symbolic-knowns", action="store_true",
                    help="keep the forcing labels symbolic in the solved output")
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("jordan", help="re-expand a coarse difference in fine differences")
     p.add_argument("--j", type=int, required=True)
@@ -86,6 +89,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--verify", default=None, metavar="poly:D",
                    help="check the expansion on a degree-D polynomial sequence")
+    p.set_defaults(run=_cmd_jordan)
 
     p = sub.add_parser("validate", help="integrate the lattice and measure error scaling")
     p.add_argument("--s", type=int, choices=(0, 1), required=True)
@@ -93,8 +97,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=_eps_list, default=[0.2, 0.1, 0.05])
     p.add_argument("--T", type=float, default=0.1)
     p.add_argument("--dt", type=float, default=0.02)
+    p.set_defaults(run=_cmd_validate)
 
-    sub.add_parser("proposition", help="full pipeline for both lattice branches at orders 7 and 9")
+    p = sub.add_parser("proposition",
+                       help="full pipeline for both lattice branches at orders 7 and 9")
+    p.set_defaults(run=_cmd_proposition)
     for name, p in sub.choices.items():
         if name != "dims":
             p.add_argument("--out", default=None)
@@ -141,7 +148,7 @@ def _cmd_reduce(args) -> Tuple[str, int]:
     rep = run_reduction(CoeffField(args.s), order=args.order)
     payload = {
         "schema": "asymint.reduce/1",
-        "s": rep.s,
+        "s": rep.field.s,
         "order": rep.order,
         "variant": rep.variant,
         "dispersion": {
@@ -278,16 +285,6 @@ def _cmd_proposition(args) -> Tuple[str, int]:
     return _json_text(payload), 0 if reproduced else 2
 
 
-_COMMANDS = {
-    "dims": _cmd_dims,
-    "reduce": _cmd_reduce,
-    "check": _cmd_check,
-    "jordan": _cmd_jordan,
-    "validate": _cmd_validate,
-    "proposition": _cmd_proposition,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -298,7 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         _check_writable(out)
         start = time.monotonic()
-        text, code = _COMMANDS[args.command](args)
+        text, code = args.run(args)
         if out is None:
             sys.stdout.write(text)
         else:

@@ -107,14 +107,16 @@ def eliminate_unknowns(
         for idx, eq in enumerate(eqs):
             linear, rest = eq.split_linear(remaining)
             for name in sorted(linear, key=_label_key):
-                coeff = linear[name]
-                if coeff.is_constant() and coeff.constant_value():
-                    try:
-                        inv = coeff.constant_value().inv()
-                    except ZeroInverse:
-                        continue
-                    pick = (idx, name, inv, linear, rest)
-                    break
+                # a constant has the single key (), and a stored value is nonzero
+                terms = linear[name].terms
+                if len(terms) != 1 or () not in terms:
+                    continue
+                try:
+                    inv = terms[()].inv()
+                except ZeroInverse:
+                    continue
+                pick = (idx, name, inv, linear, rest)
+                break
             if pick:
                 break
         if pick is None:
@@ -233,9 +235,7 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
     seven = solve_compatibility(build_problem(engine_report, 7))
     if seven.residual_constraints:
         raise InconsistentSystemError("the order-7 ansatz is already constrained")
-    f_t3_solved = DiffPolynomial(
-        {m: v for (name, m) in T3_SECOND.pairs if (v := seven.solved_coefficients[name])}
-    )
+    f_t3_solved = T3_SECOND.polynomial(seven.solved_coefficients)
     rules = problem.evolution_rules
     rules.set("phi", 2, 3, _lifted(field, hier.linearized(3, beta3, "phi", 2)) + f_t3_solved)
 

@@ -21,7 +21,7 @@ sums of the other modules (KnownPoly, SechPoly, EpsSeries).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import GradingError, MissingEvolutionError, NonLocalError
 
@@ -37,9 +37,6 @@ class FieldSymbol(NamedTuple):
     def tagged(self, m: int) -> "FieldSymbol":
         return FieldSymbol(self.kind, self.index, tuple(sorted(self.times + (m,))))
 
-    def base(self) -> "FieldSymbol":
-        return FieldSymbol(self.kind, self.index)
-
     def name(self) -> str:
         tag = "" if not self.times else "_t" + "".join(str(m) for m in self.times)
         return f"{self.kind}{self.index}{tag}"
@@ -51,11 +48,7 @@ Monomial = Tuple[Factor, ...]
 
 def mono(*factors: Tuple[str, int, int]) -> Monomial:
     """Monomial from (kind, index, ell) triples, e.g. mono(('phi',1,2))."""
-    return _sort_mono(tuple((FieldSymbol(k, j), ell) for (k, j, ell) in factors))
-
-
-def _sort_mono(factors: Iterable[Factor]) -> Monomial:
-    return tuple(sorted(factors))
+    return tuple(sorted((FieldSymbol(k, j), ell) for (k, j, ell) in factors))
 
 
 def factor_text(sym: FieldSymbol, ell: int) -> str:
@@ -181,7 +174,7 @@ class DiffPolynomial(SparseSum):
         return self.map_coeffs(lambda coeff: coeff * scalar)
 
     def mul_monomial(self, extra: Monomial) -> "DiffPolynomial":
-        return DiffPolynomial({_sort_mono(m + extra): c for m, c in self.terms.items()})
+        return DiffPolynomial({tuple(sorted(m + extra)): c for m, c in self.terms.items()})
 
     def map_coeffs(self, fn: Callable) -> "DiffPolynomial":
         acc = {}
@@ -199,7 +192,7 @@ class DiffPolynomial(SparseSum):
             acc: Dict[Monomial, object] = {}
             for m, coeff in out.terms.items():
                 for i, (sym, ell) in enumerate(m):
-                    bumped = _sort_mono(m[:i] + ((sym, ell + 1),) + m[i + 1:])
+                    bumped = tuple(sorted(m[:i] + ((sym, ell + 1),) + m[i + 1:]))
                     accumulate(acc, bumped, coeff)
             out = DiffPolynomial(acc)
         return out
@@ -228,12 +221,12 @@ class DiffPolynomial(SparseSum):
                 raise NonLocalError(
                     f"leading monomial {monomial_text(m)} has a repeated top factor"
                 )
-            guess = _sort_mono(m[:top_i] + ((sym, ell - 1),) + m[top_i + 1:])
+            guess = tuple(sorted(m[:top_i] + ((sym, ell - 1),) + m[top_i + 1:]))
             mult = sum(1 for f in guess if f == (sym, ell - 1))
             piece = coeff * Fraction(1, mult)
             accumulate(anti, guess, piece)
             for i, (gs, gell) in enumerate(guess):
-                bumped = _sort_mono(guess[:i] + ((gs, gell + 1),) + guess[i + 1:])
+                bumped = tuple(sorted(guess[:i] + ((gs, gell + 1),) + guess[i + 1:]))
                 accumulate(remaining, bumped, -piece)
         result = DiffPolynomial(anti)
         if result.d_x() != self:
@@ -257,7 +250,7 @@ class DiffPolynomial(SparseSum):
                 rest.remove((sym, ell))
                 accumulate(
                     buckets.setdefault(ell, {}),
-                    _sort_mono(tuple(rest)),
+                    tuple(sorted(rest)),
                     coeff * Fraction(mult),
                 )
         acc: Dict[Monomial, object] = {}
@@ -280,7 +273,7 @@ class DiffPolynomial(SparseSum):
                     out.append((FieldSymbol("vphi", sym.index, sym.times), ell - 1))
                 else:
                     out.append((sym, ell))
-            accumulate(acc, _sort_mono(tuple(out)), coeff)
+            accumulate(acc, tuple(sorted(out)), coeff)
         return DiffPolynomial(acc)
 
     # --- inspection ---------------------------------------------------------
@@ -359,7 +352,7 @@ def time_derivative(
             rest = mon[:i] + mon[i + 1:]
             derived = _derive_leaf(sym, ell, m, rules, strict)
             if derived is None:
-                accumulate(acc, _sort_mono(rest + ((sym.tagged(m), ell),)), coeff)
+                accumulate(acc, tuple(sorted(rest + ((sym.tagged(m), ell),))), coeff)
                 continue
             for term, c in derived.mul_monomial(rest).scale(coeff).terms.items():
                 accumulate(acc, term, c)
@@ -373,7 +366,7 @@ def _derive_leaf(
     rule = rules.get(sym, m)
     if rule is None:
         if strict:
-            raise MissingEvolutionError(f"no rule for d_t{m} {sym.base().name()}")
+            raise MissingEvolutionError(f"no rule for d_t{m} {sym.kind}{sym.index}")
         return None
     value = rule
     for pending in sorted(sym.times, reverse=True):

@@ -62,16 +62,6 @@ class KnownPoly(SparseSum):
 
     # --- predicates -----------------------------------------------------------
 
-    def is_constant(self) -> bool:
-        return all(k == () for k in self.terms)
-
-    def constant_value(self) -> CoeffElement:
-        if not self.terms:
-            return self.field.zero
-        if not self.is_constant():
-            raise ValueError(f"{self.text()} is not constant")
-        return self.terms[()]
-
     def symbols(self) -> Set[str]:
         return {name for key in self.terms for name, _ in key}
 

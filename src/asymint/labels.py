@@ -9,7 +9,7 @@ is part of the output contract and is frozen here.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .diffpoly import DiffPolynomial, Monomial, enumerate_basis, mono, monomial_text
 from .errors import GradingError
@@ -47,21 +47,21 @@ class LabeledBasis:
         """Name of the graded space, as reported beside a forcing."""
         return f"P_{self.weight}^({self.max_index}) {self.grading}"
 
-    def label_of(self, m: Monomial) -> str:
-        for name, mm in self.pairs:
-            if mm == m:
-                return name
-        raise GradingError(f"monomial {monomial_text(m)} outside the labeled basis")
+    def polynomial(self, values: Mapping[str, object]) -> DiffPolynomial:
+        """Each labeled monomial, in display order, with its nonzero value."""
+        return DiffPolynomial({m: v for name, m in self.pairs if (v := values[name])})
 
     def ansatz(self, field: CoeffField) -> DiffPolynomial:
         """The generic element, with one symbolic coefficient per monomial."""
-        return DiffPolynomial(
-            {m: KnownPoly.symbol(field, name) for name, m in self.pairs}
-        )
+        return self.polynomial({name: KnownPoly.symbol(field, name) for name in self.labels})
 
     def express(self, poly: DiffPolynomial) -> Dict[str, object]:
         """Coefficient-by-label map; GradingError on stray monomials."""
-        return {self.label_of(m): coeff for m, coeff in poly.terms.items()}
+        names = {m: name for name, m in self.pairs}
+        for m in poly.terms:
+            if m not in names:
+                raise GradingError(f"monomial {monomial_text(m)} outside the labeled basis")
+        return {names[m]: coeff for m, coeff in poly.terms.items()}
 
 
 T2_SECOND = LabeledBasis(

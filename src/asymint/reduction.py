@@ -81,9 +81,6 @@ class EpsSeries(SparseSum):
     def get(self, k: int) -> DiffPolynomial:
         return self.terms.get(k, DiffPolynomial())
 
-    def min_order(self) -> Optional[int]:
-        return min(self.terms) if self.terms else None
-
     def __sub__(self, other: "EpsSeries") -> "EpsSeries":
         return self + other.scale_all(-1)
 
@@ -137,14 +134,6 @@ def _ladder(
     return EpsSeries(limit, terms)
 
 
-_ANALYTIC: Dict[str, Callable[[int], Fraction]] = {
-    "sin": lambda j: Fraction((-1) ** (j // 2), factorial(j)) if j % 2 else Fraction(0),
-    "cos": lambda j: Fraction((-1) ** (j // 2), factorial(j)) if j % 2 == 0 else Fraction(0),
-    "sqrt": lambda j: _sqrt_coeff(j),
-    "recip": lambda j: Fraction((-1) ** j),
-}
-
-
 def _sqrt_coeff(j: int) -> Fraction:
     # binomial(1/2, j)
     num, den = Fraction(1), 1
@@ -152,6 +141,14 @@ def _sqrt_coeff(j: int) -> Fraction:
         num *= Fraction(1, 2) - i
         den *= i + 1
     return num / den
+
+
+_ANALYTIC: Dict[str, Callable[[int], Fraction]] = {
+    "sin": lambda j: Fraction((-1) ** (j // 2), factorial(j)) if j % 2 else Fraction(0),
+    "cos": lambda j: Fraction((-1) ** (j // 2), factorial(j)) if j % 2 == 0 else Fraction(0),
+    "sqrt": _sqrt_coeff,
+    "recip": lambda j: Fraction((-1) ** j),
+}
 
 
 def expand_analytic(kind: str, arg: EpsSeries, field: CoeffField) -> EpsSeries:
@@ -170,7 +167,7 @@ def expand_analytic(kind: str, arg: EpsSeries, field: CoeffField) -> EpsSeries:
     else:
         raise ValueError(f"unknown analytic primitive {kind!r}")
     coeff_fn = _ANALYTIC[kind]
-    base = u.min_order()
+    base = min(u.terms, default=None)
     out = EpsSeries(arg.limit)
     a0 = coeff_fn(0)
     if a0:
@@ -257,7 +254,6 @@ class DispersionData(NamedTuple):
 class Forcing(NamedTuple):
     space: str
     coefficients: Dict[str, CoeffElement]
-    poly: DiffPolynomial
 
 
 class ReductionReport:
@@ -272,7 +268,6 @@ class ReductionReport:
         if not 3 <= order <= 10:
             raise ValueError(f"the reduction runs through eps^3 to eps^10, got order {order}")
         self.field = field
-        self.s = field.s
         self.order = order
         self.dispersion = derive_dispersion(field.s)
         self.r_nu, self.r_phi = lattice_residual_series(field, 1, order)
@@ -444,12 +439,10 @@ class ReductionReport:
             self.betas[3],
             self.forcings["f_t2"].coefficients,
         )
-        forcing = DiffPolynomial(
-            {m: b_values[name] for name, m in T3_SECOND.pairs if b_values[name]}
-        )
+        forcing = T3_SECOND.polynomial(b_values)
         linear3 = self.hier.linearized(3, self.betas[3], "phi", 2)
         self.rules.set("phi", 2, 3, linear3 + forcing)
-        self.forcings["f_t3"] = Forcing(T3_SECOND.space, b_values, forcing)
+        self.forcings["f_t3"] = Forcing(T3_SECOND.space, b_values)
         self.stage_log.append(
             "eps^9 prep: t3 correction for phi^(2) fixed by cross-derivative identity"
         )
@@ -474,7 +467,7 @@ class ReductionReport:
             coeffs = basis.express(other)
         except GradingError as exc:
             raise SecularResidueError(f"{stage}: forcing outside its graded space: {exc}")
-        return linear2 + other, Forcing(basis.space, coeffs, other)
+        return linear2 + other, Forcing(basis.space, coeffs)
 
     def _build_kdv_rules(self, third_rule: DiffPolynomial) -> EvolutionRules:
         rules = EvolutionRules(one=self.field.one)

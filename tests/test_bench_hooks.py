@@ -8,8 +8,10 @@ the package fails here and not only in a traced benchmark run.  The cheap
 benchmark ops, taken from perfbench/ops.py read the same way, must print
 artifacts whose sha256 equals perfbench/reference/sha256.json, and their
 traced span calls and counters must equal perfbench/reference/counts.json.
-The criterion-09 error-scaling runs, which the `validate` ops repeat, must
-match perfbench/reference/validate_s{0,1}.csv within the benchmark's CSV
+The `validate` ops, run on a short horizon, must match every reference
+count but the two that grow with the number of steps.  The criterion-09
+error-scaling runs, which the `validate` ops repeat, must match
+perfbench/reference/validate_s{0,1}.csv within the benchmark's CSV
 tolerance.
 """
 
@@ -56,8 +58,8 @@ def test_tracer_patch_point_resolves(module, path):
     assert path == "ONE" or callable(target)
 
 
-# The benchmark's symbolic ops, each about a second or less; only the
-# `validate` ops are left out.  proposition (orders 7 and 9 on both
+# The benchmark's symbolic ops, each about a second or less; the `validate`
+# ops are traced on a short horizon below.  proposition (orders 7 and 9 on both
 # branches), check9_s0, check9_s1 and check9_symbolic are the order-9
 # eliminations, where KnownPoly.substitute does most work, proposition the
 # most; check9_s0 prints the FAIL witness of the s = 0 ring with zero
@@ -90,9 +92,8 @@ print(json.dumps(result))
 """
 
 
-def test_tracer_size_hooks_read_the_call_shapes():
-    bench = runpy.run_path(str(OPS))
-    argvs = {key: list(bench["OPS"][key].argv) for key in CHEAP_OPS}
+def run_probe(argvs):
+    """SIZE_PROBE's result for a map of op key to argv."""
     src = str(TRACER.parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -101,7 +102,12 @@ def test_tracer_size_hooks_read_the_call_shapes():
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_tracer_size_hooks_read_the_call_shapes():
+    bench = runpy.run_path(str(OPS))
+    result = run_probe({key: list(bench["OPS"][key].argv) for key in CHEAP_OPS})
     counts = result.pop("integrate")
     assert counts["lattice.rhs.calls"] == 12  # four per step
     assert counts["lattice.site_steps"] == 24
@@ -113,6 +119,28 @@ def test_tracer_size_hooks_read_the_call_shapes():
     for key, op in result.items():
         assert op["rc"] == bench["OPS"][key].exit, key
         assert bench["check_counts"](key, op) == [], key
+
+
+# The `validate` ops cut to a horizon of 0.0001, one, five and forty RK4
+# steps at eps 0.2, 0.1 and 0.05: the two counters that scale with the steps
+# are pinned on their own, every other span call and counter (the reduction,
+# the six profiles and their scalar work) equals the benchmark's reference.
+STEP_COUNTS = {"lattice.rhs.calls": 4 * (1 + 5 + 40), "lattice.site_steps": 51300}
+
+
+def test_short_validate_ops_match_the_reference_counts():
+    bench = runpy.run_path(str(OPS))
+    keys = ["validate_s0", "validate_s1"]
+    result = run_probe({key: list(bench["OPS"][key].argv) + ["--T", "0.0001"] for key in keys})
+    reference = json.loads((OPS.parent / "reference" / "counts.json").read_text())
+    for key in keys:
+        op, want = result[key], reference[key]
+        assert op["rc"] == 0, key
+        assert {name: op["counts"].pop(name, None) for name in STEP_COUNTS} == STEP_COUNTS, key
+        assert op["calls"] == want["calls"], key
+        assert op["counts"] == {
+            name: value for name, value in want["counts"].items() if name not in STEP_COUNTS
+        }, key
 
 
 @pytest.mark.parametrize("key", CHEAP_OPS)

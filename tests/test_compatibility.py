@@ -18,11 +18,13 @@ from asymint.compatibility import (
     commutator_equations,
     eliminate_unknowns,
     rref,
+    solve_compatibility,
     strip_content,
 )
 from asymint.errors import InconsistentSystemError
 from asymint.field import CoeffField
 from asymint.knowns import KnownPoly
+from asymint.reduction import run_reduction
 
 from oracles import conjugate, parse, specialize
 
@@ -265,6 +267,30 @@ def test_verdicts_survive_h_pinning(commutation, pinned_commutation):
         general = [not v for v in out.evaluated]
         pinned = [not specialize(v, target) for v in out.evaluated]
         assert pinned == general
+
+
+# (s, h, order-9 verdict, constraint rows, sign of the witness value).  c is
+# rational at each pinned h (4/5, 12/13 and 15/17 on the integrable branch,
+# 1 on the other), so c minus that value is a nonzero zero divisor; the two
+# s = 0 spacings lie on either side of the witness root h* ~ 0.7829.
+ZERO_DIVISOR_RINGS = [
+    (1, Fraction(3, 5), "PASS", 3, 0),
+    (1, Fraction(5, 13), "PASS", 3, 0),
+    (1, Fraction(8, 17), "PASS", 3, 0),
+    (0, Fraction(39, 50), "FAIL", 5, 1),
+    (0, Fraction(79, 100), "FAIL", 5, -1),
+]
+
+
+@pytest.mark.parametrize("s, h, verdict, rows, sign", ZERO_DIVISOR_RINGS)
+def test_verdicts_in_rings_with_zero_divisors(s, h, verdict, rows, sign):
+    rep = run_reduction(CoeffField(s, h_value=h), order=9)
+    seven = solve_compatibility(build_problem(rep, 7))
+    nine = solve_compatibility(build_problem(rep, 9))
+    assert (seven.verdict, seven.residual_constraints) == ("PASS", [])
+    assert (nine.verdict, len(nine.residual_constraints)) == (verdict, rows)
+    witness = [v.eval_exact() for v in nine.evaluated if v]
+    assert [((even > 0) - (even < 0), odd) for even, odd in witness] == [(sign, 0)] * abs(sign)
 
 
 def test_nonvanishing_witness_under_both_signs(commutation):

@@ -7,7 +7,7 @@ enumerated that way before the label tables were written.
 
 import pytest
 
-from asymint.diffpoly import enumerate_basis, mono
+from asymint.diffpoly import DiffPolynomial, enumerate_basis, mono
 from asymint.errors import GradingError
 from asymint.field import CoeffField
 from asymint.knowns import KnownPoly
@@ -63,12 +63,14 @@ def test_express_rejects_stray_monomials():
         T2_SECOND.express(stray)
 
 
-def test_label_of_matches_pairs():
+def test_polynomial_and_express_invert_each_other():
     for basis in (T2_THIRD, T2_THIRD_KDV):
-        for name, m in basis.pairs:
-            assert basis.label_of(m) == name
+        values = {name: F.coerce(k) for k, name in enumerate(basis.labels)}
+        poly = basis.polynomial(values)
+        assert list(poly.terms) == [m for name, m in basis.pairs if values[name]]
+        assert basis.express(poly) == {name: v for name, v in values.items() if v}
     with pytest.raises(GradingError):
-        T2_THIRD.label_of(mono(("phi", 1, 1)))
+        T2_THIRD.express(DiffPolynomial({mono(("phi", 1, 1)): F.one}))
 
 
 def test_incomplete_table_is_rejected():

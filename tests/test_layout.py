@@ -5,7 +5,8 @@ the package outside its own definition: a name that only tests use is a
 reference implementation and belongs in tests/oracles.py, and a name that
 nothing uses is dead.  Dunder methods are called by the interpreter, and
 the allow-list holds hooks that a library calls by name.  No module reads
-the environment: every choice a command makes is one of its options.
+the environment: every choice a command makes is one of its options.  No
+module but the package's `__init__` imports a name that it never reads.
 """
 
 import ast
@@ -86,3 +87,26 @@ def environment_reads():
 
 def test_no_module_reads_the_environment():
     assert environment_reads() == []
+
+
+def unused_imports():
+    """file:name of every name a module imports and never reads; the
+    package `__init__` imports to re-export, and `__future__` is a switch."""
+    found = []
+    for file, tree in _trees().items():
+        if file == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{file}:{name}")
+    return found
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert unused_imports() == []

@@ -70,7 +70,7 @@ def eval_poly(poly, x, c_mp):
 def residual(rep, eps):
     """i f' + (f+ - 2f + f-)(1 - s sigma h^2 |f|^2)/(2h^2) - sigma |f|^2 f
     at one lattice point, with f built from the report and the exact jets."""
-    s = rep.s
+    s = rep.field.s
     rules = rep.rules
     c_mp = mp.sqrt(1 - s * to_mp(H) ** 2)
     eps = mp.mpf(eps)
