@@ -6,30 +6,4 @@ compatibility of the resulting hierarchy flows, and validates predictions
 against direct lattice integration.
 """
 
-from .errors import (
-    AsymintError,
-    DomainError,
-    ExpansionPointError,
-    GradingError,
-    InconsistentSystemError,
-    NonLocalError,
-    SecularResidueError,
-    ZeroInverse,
-)
-from .field import CoeffElement, CoeffField
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AsymintError",
-    "CoeffElement",
-    "CoeffField",
-    "DomainError",
-    "ExpansionPointError",
-    "GradingError",
-    "InconsistentSystemError",
-    "NonLocalError",
-    "SecularResidueError",
-    "ZeroInverse",
-    "__version__",
-]

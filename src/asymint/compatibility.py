@@ -190,15 +190,14 @@ def _filled(basis: LabeledBasis, values: Dict[str, CoeffElement], field: CoeffFi
     return {name: values.get(name, field.zero) for name in basis.labels}
 
 
-def _order7_problem(
-    hier: FlowHierarchy, beta3: CoeffElement, a_values: Dict[str, CoeffElement]
-) -> CompatibilityProblem:
+def _order7_problem(engine_report, hier: FlowHierarchy) -> CompatibilityProblem:
     """The order-7 problem on the second field: the first field follows its
     t2 and t3 flows, the second field its linearized flows plus the t2
-    forcing (labels a1..a3, valued by a_values) and the t3 correction, which
-    is the unknown ansatz (labels b1..b6)."""
-    field = hier.field
-    alpha1 = hier.alpha1
+    forcing (labels a1..a3, valued by the report's f_t2) and the t3
+    correction, which is the unknown ansatz (labels b1..b6)."""
+    field = engine_report.field
+    alpha1 = engine_report.alphas[1]
+    beta3 = engine_report.betas[3]
     rules = EvolutionRules(one=KnownPoly.constant(field, field.one))
     rules.set("phi", 1, 2, _lifted(field, hier.flow(2, alpha1)))
     rules.set("phi", 1, 3, _lifted(field, hier.flow(3, beta3)))
@@ -209,10 +208,19 @@ def _order7_problem(
         variant="potential",
         field=field,
         target=FieldSymbol("phi", 2),
-        known_values=_filled(T2_SECOND, a_values, field),
+        known_values=_filled(T2_SECOND, engine_report.forcings["f_t2"].coefficients, field),
         ansatz_basis=T3_SECOND,
         evolution_rules=rules,
     )
+
+
+def _t3_correction(problem: CompatibilityProblem) -> Dict[str, KnownPoly]:
+    """The t3-correction labels solved from the order-7 problem, which must
+    leave no constraint on the known t2 forcing."""
+    report = solve_compatibility(problem)
+    if report.residual_constraints:
+        raise InconsistentSystemError("the order-7 ansatz is already constrained")
+    return report.solved_coefficients
 
 
 def build_problem(engine_report, order: int) -> CompatibilityProblem:
@@ -223,7 +231,7 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
     alpha1 = engine_report.alphas[1]
     beta3 = engine_report.betas[3]
     hier = FlowHierarchy(alpha1, engine_report.alphas[2])
-    problem = _order7_problem(hier, beta3, engine_report.forcings["f_t2"].coefficients)
+    problem = _order7_problem(engine_report, hier)
     if order == 7:
         return problem
     if order != 9:
@@ -232,10 +240,7 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
     if variant not in NINTH_ORDER:
         raise ValueError(f"reduction report carries no ninth-order variant: {variant!r}")
 
-    seven = solve_compatibility(build_problem(engine_report, 7))
-    if seven.residual_constraints:
-        raise InconsistentSystemError("the order-7 ansatz is already constrained")
-    f_t3_solved = T3_SECOND.polynomial(seven.solved_coefficients)
+    f_t3_solved = T3_SECOND.polynomial(_t3_correction(build_problem(engine_report, 7)))
     rules = problem.evolution_rules
     rules.set("phi", 2, 3, _lifted(field, hier.linearized(3, beta3, "phi", 2)) + f_t3_solved)
 
@@ -300,22 +305,15 @@ def solve_compatibility(problem: CompatibilityProblem) -> CompatibilityReport:
     )
 
 
-def solve_t3_correction(
-    alpha1: CoeffElement,
-    alpha2: CoeffElement,
-    beta3: CoeffElement,
-    a_values: Dict[str, CoeffElement],
-) -> Dict[str, CoeffElement]:
+def solve_t3_correction(engine_report) -> Dict[str, CoeffElement]:
     """Numeric t3-correction coefficients for the second field, used by the
     reduction to continue past the eighth order: the symbolic commutation
     solve evaluated at the computed t2-forcing."""
-    problem = _order7_problem(FlowHierarchy(alpha1, alpha2), beta3, a_values)
-    report = solve_compatibility(problem)
-    if report.residual_constraints:
-        raise InconsistentSystemError(
-            "the t3 correction is constrained; the cross-derivative identity failed"
-        )
+    # its own hierarchy: reusing the report's would skip one division
+    # alpha2 / alpha1, which the recorded benchmark counts include
+    hier = FlowHierarchy(engine_report.alphas[1], engine_report.alphas[2])
+    problem = _order7_problem(engine_report, hier)
     return {
         name: expr.evaluate(problem.known_values)
-        for name, expr in report.solved_coefficients.items()
+        for name, expr in _t3_correction(problem).items()
     }

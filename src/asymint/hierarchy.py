@@ -22,13 +22,11 @@ _PHI1 = FieldSymbol("phi", 1)
 class FlowHierarchy:
     """All flows and linearizations for one pair of weight-4 coefficients."""
 
-    __slots__ = ("alpha1", "alpha2", "field", "_ratio", "_dphi", "_d2phi")
+    __slots__ = ("field", "_ratio", "_dphi", "_d2phi")
 
     def __init__(self, alpha1: CoeffElement, alpha2: CoeffElement):
         if not alpha1:
             raise ValueError("the dispersive coefficient must be invertible")
-        self.alpha1 = alpha1
-        self.alpha2 = alpha2
         self.field = alpha1.field
         self._ratio = alpha2 / alpha1
         one = self.field.one

@@ -433,12 +433,7 @@ class ReductionReport:
     def prepare_t3_correction(self) -> None:
         """The t3 rule for phi^(2): linearized third flow plus the correction
         whose coefficients are forced by the t2/t3 cross-derivative identity."""
-        b_values = solve_t3_correction(
-            self.alphas[1],
-            self.alphas[2],
-            self.betas[3],
-            self.forcings["f_t2"].coefficients,
-        )
+        b_values = solve_t3_correction(self)
         forcing = T3_SECOND.polynomial(b_values)
         linear3 = self.hier.linearized(3, self.betas[3], "phi", 2)
         self.rules.set("phi", 2, 3, linear3 + forcing)

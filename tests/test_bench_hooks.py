@@ -5,9 +5,10 @@ perfbench/tracer.py is read as source (nothing is written beside it) and
 every attribute it patches must exist, and the size hooks must read the
 arguments and results they expect, so a rename or a changed call shape in
 the package fails here and not only in a traced benchmark run.  The cheap
-benchmark ops, taken from perfbench/ops.py read the same way, must print
-artifacts whose sha256 equals perfbench/reference/sha256.json, and their
-traced span calls and counters must equal perfbench/reference/counts.json.
+benchmark ops, taken from perfbench/ops.py read the same way, run once in a
+traced interpreter: they must print artifacts whose sha256 equals
+perfbench/reference/sha256.json, and their traced span calls and counters
+must equal perfbench/reference/counts.json.
 The `validate` ops, run on a short horizon, must match every reference
 count but the two that grow with the number of steps.  The criterion-09
 error-scaling runs, which the `validate` ops repeat, must match
@@ -15,10 +16,7 @@ perfbench/reference/validate_s{0,1}.csv within the benchmark's CSV
 tolerance.
 """
 
-import contextlib
-import hashlib
 import importlib
-import io
 import json
 import os
 import runpy
@@ -70,9 +68,11 @@ CHEAP_OPS = ["proposition", "check7_s0", "check7_s1", "check9_s0", "check9_s1",
 # Installs the tracer in a fresh interpreter (-B: no bytecode is written
 # beside it), integrates 8 sites for 3 steps, then runs each op of the
 # JSON argv map with the tracer's records cleared before it; prints the
-# integration's counters and each op's exit code, span calls and counters.
+# integration's counters and each op's exit code, artifact sha256, span
+# calls and counters.  The tracer's wrappers hand back each call's own
+# result, so a traced artifact is byte for byte the untraced one.
 SIZE_PROBE = """
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from tracer import Tracer
@@ -84,10 +84,12 @@ result = {"integrate": dict(tracer.counts)}
 for key, argv in json.loads(sys.argv[2]).items():
     for record in (tracer.spans, tracer.stack, tracer.counts, tracer.solves):
         record.clear()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
     trace = tracer.summary(0.0)
-    result[key] = {"rc": rc, "calls": trace["calls"], "counts": trace["counts"]}
+    sha256 = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    result[key] = {"rc": rc, "sha256": sha256, "calls": trace["calls"], "counts": trace["counts"]}
 print(json.dumps(result))
 """
 
@@ -105,9 +107,16 @@ def run_probe(argvs):
     return json.loads(proc.stdout)
 
 
-def test_tracer_size_hooks_read_the_call_shapes():
+@pytest.fixture(scope="module")
+def cheap_probe():
+    """SIZE_PROBE's result for the cheap ops, run once for this module."""
+    ops = runpy.run_path(str(OPS))["OPS"]
+    return run_probe({key: list(ops[key].argv) for key in CHEAP_OPS})
+
+
+def test_tracer_size_hooks_read_the_call_shapes(cheap_probe):
     bench = runpy.run_path(str(OPS))
-    result = run_probe({key: list(bench["OPS"][key].argv) for key in CHEAP_OPS})
+    result = dict(cheap_probe)
     counts = result.pop("integrate")
     assert counts["lattice.rhs.calls"] == 12  # four per step
     assert counts["lattice.site_steps"] == 24
@@ -144,16 +153,11 @@ def test_short_validate_ops_match_the_reference_counts():
 
 
 @pytest.mark.parametrize("key", CHEAP_OPS)
-def test_cheap_benchmark_artifacts_match_the_reference_sha256(key):
-    from asymint import cli
-
+def test_cheap_benchmark_artifacts_match_the_reference_sha256(cheap_probe, key):
     op = runpy.run_path(str(OPS))["OPS"][key]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        rc = cli.main(list(op.argv))
-    assert rc == op.exit
+    assert cheap_probe[key]["rc"] == op.exit
     reference = json.loads((OPS.parent / "reference" / "sha256.json").read_text())
-    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == reference[key]
+    assert cheap_probe[key]["sha256"] == reference[key]
 
 
 def test_benchmark_self_test_flags_every_injected_fault():

@@ -6,7 +6,7 @@ reference implementation and belongs in tests/oracles.py, and a name that
 nothing uses is dead.  Dunder methods are called by the interpreter, and
 the allow-list holds hooks that a library calls by name.  No module reads
 the environment: every choice a command makes is one of its options.  No
-module but the package's `__init__` imports a name that it never reads.
+module imports a name that it never reads.
 """
 
 import ast
@@ -90,12 +90,10 @@ def test_no_module_reads_the_environment():
 
 
 def unused_imports():
-    """file:name of every name a module imports and never reads; the
-    package `__init__` imports to re-export, and `__future__` is a switch."""
+    """file:name of every name a module imports and never reads;
+    `__future__` is a switch."""
     found = []
     for file, tree in _trees().items():
-        if file == "__init__.py":
-            continue
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
