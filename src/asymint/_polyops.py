@@ -91,17 +91,12 @@ def peval(a: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def pcontent(a: Poly) -> int:
-    """Non-negative gcd of the coefficients (0 for the zero polynomial)."""
-    return math.gcd(*a)
-
-
 def pprimitive(a: Poly) -> Tuple[int, Poly]:
     """Split into (content, primitive part); the primitive part keeps the
     sign of the leading coefficient."""
     if not a:
         return 0, ZERO
-    g = pcontent(a)
+    g = math.gcd(*a)
     return g, a if g == 1 else tuple(c // g for c in a)
 
 

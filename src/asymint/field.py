@@ -262,12 +262,6 @@ class CoeffElement:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other: ScalarLike) -> "CoeffElement":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return (-self) + o
-
     def __mul__(self, other: ScalarLike) -> "CoeffElement":
         o = other if type(other) is CoeffElement and other.field is self.field else self._lift(other)
         if o is None:

@@ -23,7 +23,7 @@ class LabeledBasis:
     Without pairs the monomials are named prefix1..n in enumeration order;
     given pairs, GradingError when they do not enumerate the graded space."""
 
-    __slots__ = ("prefix", "weight", "grading", "max_index", "pairs")
+    __slots__ = ("weight", "grading", "max_index", "pairs")
 
     def __init__(self, prefix: str, weight: int, grading: str, max_index: int,
                  pairs: Optional[Tuple[Tuple[str, Monomial], ...]] = None):
@@ -32,7 +32,6 @@ class LabeledBasis:
             pairs = tuple((f"{prefix}{i + 1}", m) for i, m in enumerate(space))
         elif set(m for _, m in pairs) != set(space) or len(pairs) != len(space):
             raise GradingError(f"label table {prefix} does not enumerate the graded space")
-        self.prefix = prefix
         self.weight = weight
         self.grading = grading
         self.max_index = max_index

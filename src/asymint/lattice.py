@@ -167,10 +167,6 @@ class SechPoly(SparseSum):
     def _like(self, terms: Dict[Tuple[int, int], CoeffElement]) -> "SechPoly":
         return SechPoly(self.field, terms)
 
-    @classmethod
-    def basis(cls, field: CoeffField, a: int, b: int) -> "SechPoly":
-        return cls(field, {(a, b): field.one})
-
     def __mul__(self, other: "SechPoly") -> "SechPoly":
         if self._operand(other) is None:
             return NotImplemented
@@ -233,7 +229,7 @@ def profile_jets(field: CoeffField, width: Fraction, max_ell: int) -> Dict[int, 
     """Jets of the traveling profile with unit amplitude: the first jet is
     sech^2, higher ones follow by differentiation."""
     w = field.from_fraction(width)
-    jets = {1: SechPoly.basis(field, 1, 0)}
+    jets = {1: SechPoly(field, {(1, 0): field.one})}
     for ell in range(2, max_ell + 1):
         jets[ell] = jets[ell - 1].d_xi(w)
     return jets

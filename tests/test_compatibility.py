@@ -21,10 +21,11 @@ from asymint.compatibility import (
     solve_compatibility,
     strip_content,
 )
-from asymint.errors import InconsistentSystemError
+from asymint.diffpoly import DiffPolynomial
+from asymint.errors import InconsistentSystemError, NonLocalError
 from asymint.field import CoeffField
 from asymint.knowns import KnownPoly
-from asymint.reduction import run_reduction
+from asymint.reduction import ReductionReport, run_reduction
 
 from oracles import conjugate, parse, specialize
 
@@ -301,3 +302,31 @@ def test_nonvanishing_witness_under_both_signs(commutation):
     root = math.sqrt(1 - value.field.s * h * h)
     assert abs(value.eval_float(h)) > 1e-6
     assert abs(float(even) - float(odd) * root) > 1e-6  # c -> -c
+
+
+def test_forced_kdv_split_passes_on_the_integrable_branch(monkeypatch):
+    # The s = 1 remainder at eps^9 is an exact x-derivative, so the reduction
+    # takes the potential split.  Refusing its first antiderivative forces the
+    # derivative-field split instead; both ninth-order formulations must then
+    # agree that the integrable lattice passes.
+    stage_tj, integrate_x = ReductionReport.stage_tj, DiffPolynomial.integrate_x
+    refuse = [False]
+
+    def forced_stage(report, j):
+        refuse[0] = j == 4
+        stage_tj(report, j)
+
+    def refused_once(poly):
+        if refuse[0]:
+            refuse[0] = False
+            raise NonLocalError("refused to force the derivative-field split")
+        return integrate_x(poly)
+
+    monkeypatch.setattr(ReductionReport, "stage_tj", forced_stage)
+    monkeypatch.setattr(DiffPolynomial, "integrate_x", refused_once)
+    rep = run_reduction(CoeffField(1), order=9)
+    assert rep.variant == "kdv"
+    out = solve_compatibility(build_problem(rep, 9))
+    assert (out.variant, out.verdict, out.witness) == ("kdv", "PASS", None)
+    assert len(out.residual_constraints) == 5
+    assert out.evaluated and not any(out.evaluated)

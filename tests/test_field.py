@@ -155,6 +155,8 @@ def test_fast_built_values_are_immutable_and_equal_their_init_twins(s, data):
                 part.num = P.ONE
         with pytest.raises(AttributeError, match="CoeffElement is immutable"):
             z.even = field.one.even
+    with pytest.raises(AttributeError, match="CoeffField is immutable"):
+        field.s = 1 - s
 
 
 def test_a_unit_operand_returns_the_other_after_both_gcds():

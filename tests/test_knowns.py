@@ -189,7 +189,7 @@ def test_sparse_sums_take_only_their_own_operands():
     with pytest.raises(TypeError):
         p + poly
     with pytest.raises(TypeError):
-        SechPoly.basis(F, 1, 0) * poly
+        SechPoly(F, {(1, 0): F.one}) * poly
     with pytest.raises(ValueError, match="different fields"):
         p + KnownPoly.constant(CoeffField(0), 1)
     # scalars lift to constants on either side

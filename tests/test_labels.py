@@ -39,9 +39,11 @@ def test_graded_space_dimensions():
 
 
 def test_frozen_tables_cover_their_spaces():
-    for basis, dim in ((T2_SECOND, 3), (T3_SECOND, 6), (T2_THIRD, 11), (T2_THIRD_KDV, 14)):
+    for basis, prefix, dim in (
+        (T2_SECOND, "a", 3), (T3_SECOND, "b", 6), (T2_THIRD, "c", 11), (T2_THIRD_KDV, "d", 14)
+    ):
         assert len(basis.pairs) == dim
-        assert basis.labels == tuple(f"{basis.prefix}{i + 1}" for i in range(dim))
+        assert basis.labels == tuple(f"{prefix}{i + 1}" for i in range(dim))
 
 
 def test_generic_basis_dimensions():

@@ -25,7 +25,7 @@ def test_arithmetic_known_values():
     assert P.pmul(a, b) == (3, 6, 4, 8)
     assert P.pmul((1,), b) == b
     assert P.pmul(a, (-3,)) == (-3, -6)
-    assert P.pcontent((-4, 6)) == 2 and P.pcontent(()) == 0
+    assert P.pprimitive((-4, 6))[0] == 2 and P.pprimitive(())[0] == 0
     assert P.pprimitive((-4, 6)) == (2, (-2, 3))
     assert P.peval(P.pmul(a, b), Fraction(1, 2)) == Fraction(1 + 1) * Fraction(4)
 
@@ -142,7 +142,7 @@ def test_mul_matches_sympy(a, b):
 @settings(deadline=None)  # the first call imports sympy
 def test_content_and_primitive_part_match_sympy(a):
     content, primitive = sympy_poly(a).primitive()
-    assert P.pcontent(a) == int(content)
+    assert P.pprimitive(a)[0] == int(content)
     assert P.pprimitive(a) == (int(content), from_sympy(primitive))
 
 
