@@ -7,7 +7,8 @@ the text to --out or stdout and then prints one `[<command>] N.NNs` timing
 line on stderr.  Exit codes: 0 on success, 2 when a commutation verdict
 is FAIL, 1 on usage errors, out-of-domain input, a run out of memory or
 an unwritable output path (found before any computation starts), with one
-error line on stderr and no artifact.
+error line on stderr and no artifact.  Every option is spelled in full,
+as `--name value` or `--name=value`, from one table, `_COMMANDS`.
 
 Start-up loads every asymint module, `lattice` and `jordan` included;
 only numpy waits until the lattice code that `validate` runs imports it.
@@ -15,13 +16,13 @@ only numpy waits until the lattice code that `validate` runs imports it.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from . import __version__
 from .compatibility import build_problem, solve_compatibility
@@ -33,79 +34,29 @@ from .lattice import error_scaling
 from .reduction import run_reduction
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the documented usage exit code and one error line: a
-    rejected argument writes only `asymint <command>: error: <message>` to
-    stderr, without the usage block, and exits 1."""
-
-    def error(self, message):
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
+class _UsageError(Exception):
+    """A rejected command line: its program name and the message of its error line."""
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact number: {text!r}") from exc
+def _converter(convert: Callable, invalid: str, *choices) -> Callable:
+    """`convert`, then a check that the value is one of `choices` if they are given."""
+
+    def checked(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{invalid}: {text!r}") from None
+        if choices and value not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise ValueError(f"invalid choice: {value!r} (choose from {listed})")
+        return value
+
+    return checked
 
 
-def _eps_list(text: str) -> List[float]:
-    try:
-        return [float(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="asymint", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"asymint {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dims", help="dimension and basis of one graded monomial space")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--max-field", type=int, default=1)
-    p.add_argument("--grading", choices=("potential", "kdv"), default="potential")
-    p.set_defaults(run=_cmd_dims)
-
-    p = sub.add_parser("reduce", help="run the multiscale reduction and report the flows")
-    p.add_argument("--s", type=int, choices=(0, 1), required=True)
-    p.add_argument("--order", type=int, default=9)
-    p.add_argument("--h", type=_fraction, default=None,
-                   help="also evaluate every coefficient at this exact h")
-    p.set_defaults(run=_cmd_reduce)
-
-    p = sub.add_parser("check", help="solve the commutation conditions at one order")
-    p.add_argument("--s", type=int, choices=(0, 1), required=True)
-    p.add_argument("--order", type=int, choices=(7, 9), required=True)
-    p.add_argument("--symbolic-knowns", action="store_true",
-                   help="keep the forcing labels symbolic in the solved output")
-    p.set_defaults(run=_cmd_check)
-
-    p = sub.add_parser("jordan", help="re-expand a coarse difference in fine differences")
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--omega", type=_fraction, required=True)
-    p.add_argument("--max-i", type=int, required=True)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--verify", default=None, metavar="poly:D",
-                   help="check the expansion on a degree-D polynomial sequence")
-    p.set_defaults(run=_cmd_jordan)
-
-    p = sub.add_parser("validate", help="integrate the lattice and measure error scaling")
-    p.add_argument("--s", type=int, choices=(0, 1), required=True)
-    p.add_argument("--h", type=float, default=0.5)
-    p.add_argument("--eps", type=_eps_list, default=[0.2, 0.1, 0.05])
-    p.add_argument("--T", type=float, default=0.1)
-    p.add_argument("--dt", type=float, default=0.02)
-    p.set_defaults(run=_cmd_validate)
-
-    p = sub.add_parser("proposition",
-                       help="full pipeline for both lattice branches at orders 7 and 9")
-    p.set_defaults(run=_cmd_proposition)
-    for name, p in sub.choices.items():
-        if name != "dims":
-            p.add_argument("--out", default=None)
-    return parser
+_INT, _FLOAT = _converter(int, "invalid int value"), _converter(float, "invalid float value")
+_FRACTION = _converter(Fraction, "not an exact number")
+_EPS = _converter(lambda t: [float(p) for p in t.split(",") if p], "not a comma-separated float list")
 
 
 # --- artifact plumbing -----------------------------------------------------------
@@ -186,13 +137,8 @@ def _cmd_check(args) -> Tuple[str, int]:
     rep = run_reduction(CoeffField(args.s), order=args.order)
     problem = build_problem(rep, args.order)
     out = solve_compatibility(problem)
-    if args.symbolic_knowns:
-        solved = {name: poly.text() for name, poly in sorted(out.solved_coefficients.items())}
-    else:
-        solved = {
-            name: poly.evaluate(problem.known_values).text()
-            for name, poly in sorted(out.solved_coefficients.items())
-        }
+    solved = {name: (poly if args.symbolic_knowns else poly.evaluate(problem.known_values)).text()
+              for name, poly in sorted(out.solved_coefficients.items())}
     payload = {
         "schema": "asymint.check/1",
         "s": args.s,
@@ -240,15 +186,9 @@ def _cmd_jordan(args) -> Tuple[str, int]:
 
 def _cmd_validate(args) -> Tuple[str, int]:
     result = error_scaling(args.s, args.h, args.eps, T=args.T, dt=args.dt)
-    lines = ["eps,sup_error,norm_drift,slope"]
-    for k, row in enumerate(result.rows):
-        last = k == len(result.rows) - 1
-        lines.append(",".join([
-            f"{row.epsilon:g}",
-            f"{row.sup_error:.12e}",
-            f"{row.norm_drift:.12e}",
-            f"{result.slope:.6f}" if last else "",
-        ]))
+    lines = ["eps,sup_error,norm_drift,slope"] + [
+        f"{row.epsilon:g},{row.sup_error:.12e},{row.norm_drift:.12e}," for row in result.rows]
+    lines[-1] += f"{result.slope:.6f}"  # the slope goes on the last row only
     return "\n".join(lines) + "\n", 0
 
 
@@ -285,17 +225,97 @@ def _cmd_proposition(args) -> Tuple[str, int]:
     return _json_text(payload), 0 if reproduced else 2
 
 
+_REQUIRED = object()  # the default of an option that must be given
+_S, _OUT = _converter(int, "invalid int value", 0, 1), {"--out": (str, None)}
+
+# command -> (function, help, {option: (convert, default)}); a convert of None is a switch
+_COMMANDS = {
+    "dims": (_cmd_dims, "dimension and basis of one graded monomial space", {
+        "--degree": (_INT, _REQUIRED), "--max-field": (_INT, 1),
+        "--grading": (_converter(str, "invalid str value", "potential", "kdv"), "potential")}),
+    "reduce": (_cmd_reduce, "run the multiscale reduction and report the flows", {
+        "--s": (_S, _REQUIRED), "--order": (_INT, 9), "--h": (_FRACTION, None), **_OUT}),
+    "check": (_cmd_check, "solve the commutation conditions at one order", {
+        "--s": (_S, _REQUIRED), "--order": (_converter(int, "invalid int value", 7, 9), _REQUIRED),
+        "--symbolic-knowns": (None, False), **_OUT}),
+    "jordan": (_cmd_jordan, "re-expand a coarse difference in fine differences", {
+        "--j": (_INT, _REQUIRED), "--omega": (_FRACTION, _REQUIRED), "--max-i": (_INT, _REQUIRED),
+        "--p": (_INT, None), "--verify": (str, None), **_OUT}),
+    "validate": (_cmd_validate, "integrate the lattice and measure error scaling", {
+        "--s": (_S, _REQUIRED), "--h": (_FLOAT, 0.5), "--eps": (_EPS, (0.2, 0.1, 0.05)),
+        "--T": (_FLOAT, 0.1), "--dt": (_FLOAT, 0.02), **_OUT}),
+    "proposition": (_cmd_proposition,
+                    "full pipeline for both lattice branches at orders 7 and 9", _OUT),
+}
+
+
+def _help(commands: Iterable[str]) -> str:
+    """The usage line, with every option, and the help line of each command."""
+    lines = []
+    for command in commands:
+        words = [f"usage: asymint {command}"]
+        for name, (convert, default) in _COMMANDS[command][2].items():
+            word = name if convert is None else f"{name} {name[2:].upper().replace('-', '_')}"
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        lines += [" ".join(words), f"  {_COMMANDS[command][1]}"]
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv: List[str]) -> Union[SimpleNamespace, str]:
+    """The command and its options as attributes (`--max-i` is `max_i`), or
+    the --help or --version text that argv asks for."""
+    if not argv:
+        raise _UsageError("asymint", "the following arguments are required: command")
+    command, *rest = argv
+    if command in ("-h", "--help", "--version"):
+        return f"asymint {__version__}\n" if command == "--version" else _help(_COMMANDS)
+    if command not in _COMMANDS:
+        raise _UsageError("asymint", f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    prog, options = f"asymint {command}", _COMMANDS[command][2]
+    values = {name: default for name, (_, default) in options.items()}
+    unknown, tokens = [], iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help([command])
+        name, explicit, text = token.partition("=")
+        if name not in options:
+            unknown.append(token)
+        elif options[name][0] is None:
+            if explicit:
+                raise _UsageError(prog, f"argument {name}: ignored explicit argument {text!r}")
+            values[name] = True
+        else:
+            text = text if explicit else next(tokens, "--")  # the end of argv is a missing value
+            if text.startswith("--") and not explicit:
+                raise _UsageError(prog, f"argument {name}: expected one argument")
+            try:
+                values[name] = options[name][0](text)
+            except ValueError as exc:
+                raise _UsageError(prog, f"argument {name}: {exc}") from exc
+    missing = [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise _UsageError(prog, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise _UsageError(prog, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command,
+                           **{name[2:].replace("-", "_"): value for name, value in values.items()})
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        sys.stderr.write("%s: error: %s\n" % exc.args)
+        return 1
+    if isinstance(args, str):
+        sys.stdout.write(args)
+        return 0
     out = getattr(args, "out", None)
     try:
         _check_writable(out)
         start = time.monotonic()
-        text, code = args.run(args)
+        text, code = _COMMANDS[args.command][0](args)
         if out is None:
             sys.stdout.write(text)
         else:

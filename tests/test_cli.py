@@ -147,21 +147,84 @@ def test_every_command_writes_its_artifact_then_one_timing_line(
     assert len(err) == 1 and timing.match(err[0]), err
 
 
+USAGE_ERRORS = [
+    ([], "asymint: error: the following arguments are required: command"),
+    (["frobnicate"],
+     "asymint: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'dims', 'reduce', 'check', 'jordan', 'validate', 'proposition')"),
+    (["check", "--s", "1"],
+     "asymint check: error: the following arguments are required: --order"),
+    (["check", "--s", "2", "--order", "7"],
+     "asymint check: error: argument --s: invalid choice: 2 (choose from 0, 1)"),
+    (["check", "--s", "x", "--order", "7"],
+     "asymint check: error: argument --s: invalid int value: 'x'"),
+    (["check", "--s"], "asymint check: error: argument --s: expected one argument"),
+    (["dims", "--degree", "3", "--grading", "foo"],
+     "asymint dims: error: argument --grading: invalid choice: 'foo' "
+     "(choose from 'potential', 'kdv')"),
+    (["reduce", "--s", "1", "--h", "1/0"],
+     "asymint reduce: error: argument --h: not an exact number: '1/0'"),
+    (["validate", "--s", "0", "--eps", "not,numbers"],
+     "asymint validate: error: argument --eps: not a comma-separated float list: 'not,numbers'"),
+    # dims writes no artifact, so it has no --out
+    (["dims", "--degree", "2", "--out", "x"],
+     "asymint dims: error: unrecognized arguments: --out x"),
+    # an unknown option names its command
+    (["check", "--s", "1", "--order", "7", "--bogus"],
+     "asymint check: error: unrecognized arguments: --bogus"),
+    # every option is spelled in full: a prefix is not an abbreviation
+    (["reduce", "--s", "0", "--order", "9", "--ord", "5"],
+     "asymint reduce: error: unrecognized arguments: --ord 5"),
+    (["check", "--s", "0", "--order", "9", "--sym"],
+     "asymint check: error: unrecognized arguments: --sym"),
+    # too few epsilons for a slope: a domain error, reported as usage
+    (["validate", "--s", "0", "--eps", "0.2,0.1"],
+     "asymint validate: error: need at least three epsilon values, each at most once, for a slope"),
+    # a negative number is a value, not an option
+    (["dims", "--degree", "-1"],
+     "asymint dims: error: --degree must be non-negative, got -1"),
+]
+
+
 def test_usage_errors_exit_one(capsys):
-    cases = [
-        (["check", "--s", "1"], "asymint check: error: the following arguments are required"),
-        (["check", "--s", "2", "--order", "7"], "asymint check: error: argument --s: invalid choice"),
-        (["frobnicate"], "asymint: error: argument command: invalid choice"),
-        (["validate", "--s", "0", "--eps", "not,numbers"], "asymint validate: error: argument --eps"),
-        # too few epsilons for a slope: a domain error, reported as usage
-        (["validate", "--s", "0", "--eps", "0.2,0.1"], "asymint validate: error: need at least three"),
-    ]
-    for argv, message in cases:
+    for argv, line in USAGE_ERRORS:
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        err = captured.err.splitlines()
-        assert len(err) == 1 and err[0].startswith(message), err
+        assert captured.err.splitlines() == [line]
+
+
+def test_equals_form_and_a_repeated_option(capsys):
+    want = run(capsys, "check", "--s", "1", "--order", "7")
+    assert run(capsys, "check", "--s=1", "--order=7") == want
+    # a repeated option keeps its last value
+    assert run(capsys, "check", "--s", "0", "--order", "9", "--s", "1", "--order", "7") == want
+
+
+COMMANDS = ["dims", "reduce", "check", "jordan", "validate", "proposition"]
+
+
+@pytest.mark.parametrize("argv, listed", [
+    (["--help"], COMMANDS),
+    (["-h"], COMMANDS),
+    (["dims", "--help"], ["--degree", "--max-field", "--grading"]),
+    (["reduce", "--help"], ["--s", "--order", "--h", "--out"]),
+    (["check", "--help"], ["--s", "--order", "--symbolic-knowns", "--out"]),
+    (["jordan", "-h"], ["--j", "--omega", "--max-i", "--p", "--verify", "--out"]),
+    (["validate", "--help"], ["--s", "--h", "--eps", "--T", "--dt", "--out"]),
+    (["proposition", "--help"], ["--out"]),
+], ids=["top", "top-short", *COMMANDS])
+def test_help_lists_every_command_or_option(capsys, argv, listed):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    words = captured.out.replace("[", " ").replace("]", " ").split()
+    assert words[0] == "usage:"
+    if argv[0] in COMMANDS:
+        assert [w for w in words if w.startswith("--")] == listed
+    else:
+        assert [w for w in words if w in COMMANDS] == listed
 
 
 def test_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
@@ -327,6 +390,18 @@ def test_only_validate_imports_numpy(commands, numpy_loaded):
     loaded = json.loads(proc.stdout)
     assert loaded == {"codes": [0] * len(commands), "numpy": numpy_loaded, "lattice": True,
                       "loaded": []}
+
+
+def test_the_command_line_loads_no_argparse_or_gettext():
+    # argparse's first message lookup imports gettext and locale, a fixed cost
+    # of every command; a fresh interpreter, since pytest imports argparse
+    probe = ("import sys, asymint.cli\n"
+             "code = asymint.cli.main(sys.argv[1:])\n"
+             "print(code, [m for m in ('argparse', 'gettext') if m in sys.modules])")
+    proc = _fresh_interpreter("-c", probe, "jordan", "--j", "2", "--omega", "3",
+                              "--max-i", "6", "--p", "5", "--verify", "poly:5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 # the environment selects nothing: a cache variable naming a file or a directory
