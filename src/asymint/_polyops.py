@@ -39,10 +39,6 @@ def pnormalize(coeffs: Iterable[int]) -> Poly:
     return tuple(out)
 
 
-def pconst(k: int) -> Poly:
-    return (k,) if k else ()
-
-
 def pdegree(a: Poly) -> int:
     """Degree, with the zero polynomial mapped to -1."""
     return len(a) - 1
@@ -182,7 +178,7 @@ def _pgcdprs(a: Poly, b: Poly) -> Poly:
     return pscale(_poslead(pa), c)
 
 
-def pstr(a: Poly, var: str = "h") -> str:
+def pstr(a: Poly) -> str:
     """Human form in ascending degree order, e.g. '3 - 17*h^2'."""
     if not a:
         return "0"
@@ -194,7 +190,7 @@ def pstr(a: Poly, var: str = "h") -> str:
         if k == 0:
             body = str(mag)
         else:
-            pw = var if k == 1 else f"{var}^{k}"
+            pw = "h" if k == 1 else f"h^{k}"
             body = pw if mag == 1 else f"{mag}*{pw}"
         if not pieces:
             pieces.append(f"-{body}" if c < 0 else body)

@@ -41,7 +41,6 @@ class CompatibilityProblem(NamedTuple):
     the known forcing and of the unknown ansatz."""
 
     variant: str
-    field: CoeffField
     target: FieldSymbol
     known_values: Dict[str, CoeffElement]
     ansatz_basis: LabeledBasis
@@ -94,7 +93,7 @@ def strip_content(poly: KnownPoly) -> KnownPoly:
 
 
 def eliminate_unknowns(
-    equations: Sequence[KnownPoly], names: Sequence[str], field: CoeffField
+    equations: Sequence[KnownPoly], names: Sequence[str]
 ) -> Tuple[Dict[str, KnownPoly], List[KnownPoly]]:
     """Solve the ansatz labels out of the linear system, pivoting only on
     invertible constant coefficients so no division by a symbolic quantity
@@ -125,7 +124,7 @@ def eliminate_unknowns(
         acc = rest
         for other, coeff in linear.items():
             if other != name:
-                acc = acc + coeff * KnownPoly.symbol(field, other)
+                acc = acc + coeff * KnownPoly.symbol(rest.field, other)
         expr = acc * (-inv)
         mapping = {name: expr}
         eqs = [e.substitute(mapping) for j, e in enumerate(eqs) if j != idx]
@@ -143,7 +142,7 @@ def eliminate_unknowns(
     return solved, eqs
 
 
-def rref(rows: Sequence[KnownPoly], field: CoeffField) -> List[KnownPoly]:
+def rref(rows: Sequence[KnownPoly]) -> List[KnownPoly]:
     """Reduced row echelon form of the span of the rows, with the label
     monomials as columns in canonical order and every leading coefficient
     scaled to one.  The output depends only on the span, so it is the
@@ -176,14 +175,14 @@ def rref(rows: Sequence[KnownPoly], field: CoeffField) -> List[KnownPoly]:
                     accumulate(row, k, -(f * v))
         done.append(pivot)
         work = [row for row in work if row]
-    return [KnownPoly(field, terms) for terms in done + work]
+    return [KnownPoly(rows[0].field, terms) for terms in done + work]
 
 
 # --- problem assembly -------------------------------------------------------------
 
 
-def _lifted(field: CoeffField, poly: DiffPolynomial) -> DiffPolynomial:
-    return poly.map_coeffs(lambda ce: KnownPoly.constant(field, ce))
+def _lifted(poly: DiffPolynomial) -> DiffPolynomial:
+    return poly.map_coeffs(lambda ce: KnownPoly.constant(ce.field, ce))
 
 
 def _filled(basis: LabeledBasis, values: Dict[str, CoeffElement], field: CoeffField):
@@ -199,14 +198,13 @@ def _order7_problem(engine_report, hier: FlowHierarchy) -> CompatibilityProblem:
     alpha1 = engine_report.alphas[1]
     beta3 = engine_report.betas[3]
     rules = EvolutionRules(one=KnownPoly.constant(field, field.one))
-    rules.set("phi", 1, 2, _lifted(field, hier.flow(2, alpha1)))
-    rules.set("phi", 1, 3, _lifted(field, hier.flow(3, beta3)))
+    rules.set("phi", 1, 2, _lifted(hier.flow(2, alpha1)))
+    rules.set("phi", 1, 3, _lifted(hier.flow(3, beta3)))
     for j, norm, basis in ((2, alpha1, T2_SECOND), (3, beta3, T3_SECOND)):
-        linear = _lifted(field, hier.linearized(j, norm, "phi", 2))
+        linear = _lifted(hier.linearized(j, norm, "phi", 2))
         rules.set("phi", 2, j, linear + basis.ansatz(field))
     return CompatibilityProblem(
         variant="potential",
-        field=field,
         target=FieldSymbol("phi", 2),
         known_values=_filled(T2_SECOND, engine_report.forcings["f_t2"].coefficients, field),
         ansatz_basis=T3_SECOND,
@@ -242,7 +240,7 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
 
     f_t3_solved = T3_SECOND.polynomial(_t3_correction(build_problem(engine_report, 7)))
     rules = problem.evolution_rules
-    rules.set("phi", 2, 3, _lifted(field, hier.linearized(3, beta3, "phi", 2)) + f_t3_solved)
+    rules.set("phi", 2, 3, _lifted(hier.linearized(3, beta3, "phi", 2)) + f_t3_solved)
 
     kind, third, name = NINTH_ORDER[variant]
     ansatz_basis = LabeledBasis("q", third.weight + 2, third.grading, 2)
@@ -252,16 +250,15 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
         # the kdv problem lives on the derivative fields alone
         rules = EvolutionRules(one=rules.one)
         for j, norm, forcing in ((2, alpha1, T2_SECOND.ansatz(field)), (3, beta3, f_t3_solved)):
-            rules.set("vphi", 1, j, _lifted(field, hier.kdv_flow(j, norm)))
-            linear = _lifted(field, hier.linearized(j, norm, "vphi", 2))
+            rules.set("vphi", 1, j, _lifted(hier.kdv_flow(j, norm)))
+            linear = _lifted(hier.linearized(j, norm, "vphi", 2))
             rules.set("vphi", 2, j, linear + forcing.d_x().rename_to_kdv())
     for j, norm, basis in ((2, alpha1, third), (3, beta3, ansatz_basis)):
-        linear = _lifted(field, hier.linearized(j, norm, kind, 3))
+        linear = _lifted(hier.linearized(j, norm, kind, 3))
         rules.set(kind, 3, j, linear + basis.ansatz(field))
 
     return CompatibilityProblem(
         variant=variant,
-        field=field,
         target=FieldSymbol(kind, 3),
         known_values=known_values,
         ansatz_basis=ansatz_basis,
@@ -284,11 +281,9 @@ def commutator_equations(problem: CompatibilityProblem) -> List[KnownPoly]:
 
 def solve_compatibility(problem: CompatibilityProblem) -> CompatibilityReport:
     equations = commutator_equations(problem)
-    solved, leftovers = eliminate_unknowns(
-        equations, problem.ansatz_basis.labels, problem.field
-    )
-    constraints = rref([strip_content(e) for e in leftovers], problem.field)
-    constraints = rref([strip_content(c) for c in constraints], problem.field)
+    solved, leftovers = eliminate_unknowns(equations, problem.ansatz_basis.labels)
+    constraints = rref([strip_content(e) for e in leftovers])
+    constraints = rref([strip_content(c) for c in constraints])
     evaluated = [c.evaluate(problem.known_values) for c in constraints]
     witness = None
     for c, value in zip(constraints, evaluated):

@@ -51,14 +51,10 @@ def mono(*factors: Tuple[str, int, int]) -> Monomial:
     return tuple(sorted((FieldSymbol(k, j), ell) for (k, j, ell) in factors))
 
 
-def factor_text(sym: FieldSymbol, ell: int) -> str:
-    return sym.name() if ell == 0 else f"D[{ell}]{{{sym.name()}}}"
-
-
 def monomial_text(m: Monomial) -> str:
     if not m:
         return "1"
-    return "*".join(factor_text(sym, ell) for sym, ell in m)
+    return "*".join(sym.name() if ell == 0 else f"D[{ell}]{{{sym.name()}}}" for sym, ell in m)
 
 
 def accumulate(acc: Dict, key, coeff) -> None:

@@ -52,7 +52,7 @@ class RatFunc:
 
     @classmethod
     def from_fraction(cls, q: Fraction) -> "RatFunc":
-        return cls(P.pconst(q.numerator), P.pconst(q.denominator))
+        return cls((q.numerator,) if q else P.ZERO, (q.denominator,))
 
     def __bool__(self) -> bool:
         return bool(self.num)

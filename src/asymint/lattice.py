@@ -275,14 +275,11 @@ class ProfileBuilder:
     background u_inf = -2*(amplitude/width)/length that makes the potential
     close around the window; the background shifts the traveling speed by
     -2*alpha2*u_inf and adds the uniform drift alpha2*u_inf^2 to the
-    potential, both consequences of the same quadratic flow.
+    potential, both consequences of the same quadratic flow.  Its one caller,
+    error_scaling, has already checked epsilon and sized the window.
     """
 
     def __init__(self, report: ReductionReport, epsilon: float, window: int):
-        if not 0 < epsilon <= 0.3:
-            raise DomainError("epsilon must lie in (0, 0.3]")
-        if window < 4:
-            raise DomainError("window too small")
         self.report = report
         self.epsilon = epsilon
         self.window = window
@@ -319,7 +316,7 @@ class ProfileBuilder:
         if np.any(nu <= 0):
             raise DomainError("amplitude correction drove the field density nonpositive")
         values = np.sqrt(nu) * np.exp(1j * phi)
-        return LatticeState(values.astype(complex), h, t)
+        return LatticeState(values, h, t)
 
 
 # --- error scaling ------------------------------------------------------------------

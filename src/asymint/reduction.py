@@ -172,8 +172,6 @@ def expand_analytic(kind: str, arg: EpsSeries, field: CoeffField) -> EpsSeries:
     a0 = coeff_fn(0)
     if a0:
         out = out + EpsSeries.constant(arg.limit, field.from_fraction(a0))
-    if base is None:
-        return out
     power = u
     j = 1
     while power.terms and j * base <= arg.limit:

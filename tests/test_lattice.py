@@ -264,10 +264,10 @@ def test_error_scaling_needs_three_points():
         error_scaling(0, H, [0.3, 0.3, 0.25, 0.2], T=0.001, dt=0.02)
 
 
-def test_profile_domain_checks(engine):
+def test_error_scaling_rejects_an_epsilon_outside_its_domain():
     for eps in (0.0, 0.5):
-        with pytest.raises(DomainError):
-            ProfileBuilder(engine(1, 5), eps, 400)
+        with pytest.raises(DomainError, match="every epsilon"):
+            error_scaling(1, H, [0.2, 0.1, eps], T=0.1, dt=0.02)
 
 
 def test_profile_rejects_a_field_it_does_not_carry(engine):

@@ -6,7 +6,8 @@ reference implementation and belongs in tests/oracles.py, and a name that
 nothing uses is dead.  Dunder methods are called by the interpreter, and
 the allow-list holds hooks that a library calls by name.  No module reads
 the environment: every choice a command makes is one of its options.  No
-module imports a name that it never reads.
+module imports a name that it never reads.  No parameter keeps a default
+that no call in the package overrides.
 """
 
 import ast
@@ -16,6 +17,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "asymint"
 
 # the hooks that a library calls by name; src/asymint defines none
 ALLOWED = set()
+
+# defaults that no call in the package sets: the command line's entry point,
+# and the defaults that bind a slot setter to a local name
+UNSET_DEFAULTS = {"main.argv"} | {
+    f"{fn}.{name}" for fn, names in (
+        ("_ratfunc", ("new", "set_num", "set_den")),
+        ("_element", ("new", "set_field", "set_even", "set_odd")),
+    ) for name in names
+}
 
 # the os names that read or write the process environment
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
@@ -108,3 +118,58 @@ def unused_imports():
 
 def test_no_module_imports_a_name_it_never_reads():
     assert unused_imports() == []
+
+
+def _defaults(tree):
+    """(function, parameter, position or None) for every parameter with a
+    default.  A method's position leaves out self or cls.  Dunder methods
+    are called by the interpreter under other names, so they are left out."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
+    for _, node in _definitions(tree):
+        if isinstance(node, ast.ClassDef) or node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        bound = id(node) in methods and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        positional = (a.posonlyargs + a.args)[bound:]
+        first = len(positional) - len(a.defaults)
+        for position, arg in enumerate(positional[first:], first):
+            yield node.name, arg.arg, position
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _sets(call, param, position):
+    """Whether the call passes the parameter, by position or by keyword."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(x, ast.Starred) for x in call.args)
+
+
+def unset_defaults():
+    """file:function.parameter of every default that no call in the package
+    sets, matched on the callee's name."""
+    trees = _trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for file, tree in trees.items():
+        for function, param, position in _defaults(tree):
+            if f"{function}.{param}" in UNSET_DEFAULTS:
+                continue
+            if not any(_sets(call, param, position) for call in calls.get(function, [])):
+                found.append(f"{file}:{function}.{param}")
+    return sorted(found)
+
+
+def test_every_default_is_set_by_some_call_in_the_package():
+    assert unset_defaults() == []
