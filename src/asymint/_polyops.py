@@ -5,7 +5,8 @@ ascending degree order with no trailing zeros; the zero polynomial is the
 empty tuple.  These kernels underlie the scalar field and have no
 dependencies, so they are easy to test in isolation.  The root count on
 (0, 1) builds its Sturm chain in Z[h] with the same pseudo-remainder as the
-gcd; no polynomial here has rational coefficients.
+gcd; no polynomial here has rational coefficients, and `peval` at p/q
+builds one Fraction from the integer Horner `phorner`.
 
 A constant argument `(k,)` takes a fast path in `pgcd`, `pmul` and
 `pdivexact` that returns exactly the tuple the general path returns, and
@@ -79,12 +80,18 @@ def pmul(a: Poly, b: Poly) -> Poly:
     return pnormalize(out)
 
 
-def peval(a: Poly, x: Fraction) -> Fraction:
-    """Horner evaluation at an exact rational point."""
-    acc = Fraction(0)
+def phorner(a: Poly, p: int, q: int) -> int:
+    """q^deg(a) a(p/q) for q > 0, by Horner's rule in integers."""
+    acc, qpow = 0, 1
     for c in reversed(a):
-        acc = acc * x + c
+        acc = acc * p + c * qpow
+        qpow *= q
     return acc
+
+
+def peval(a: Poly, x: Fraction) -> Fraction:
+    """Exact value at a rational point: one Fraction over q^deg(a)."""
+    return Fraction(phorner(a, x.numerator, x.denominator), x.denominator ** max(len(a) - 1, 0))
 
 
 def pprimitive(a: Poly) -> Tuple[int, Poly]:

@@ -170,10 +170,12 @@ def _cmd_jordan(args) -> Tuple[str, int]:
         "coefficients": {str(i): str(c) for i, c in sorted(exp.coefficients.items())},
     }
     if degree is not None:
-        step = Fraction(1, args.omega.denominator)
+        q = args.omega.denominator
+        step = Fraction(1, q)
         _, _, span = sample_window(exp, step)
+        # sum_m (m+1) (k/q)^m over the common denominator q^degree
         samples = [
-            sum(Fraction(m + 1) * (k * step) ** m for m in range(degree + 1))
+            Fraction(sum((m + 1) * k**m * q ** (degree - m) for m in range(degree + 1)), q**degree)
             for k in range(span + 4)
         ]
         payload["verify"] = {

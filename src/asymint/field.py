@@ -115,10 +115,13 @@ class RatFunc:
         return self * other.inv()
 
     def eval(self, h: Fraction) -> Fraction:
-        den = P.peval(self.den, h)
+        p, q = h.numerator, h.denominator
+        den = P.phorner(self.den, p, q)
         if den == 0:
             raise DomainError(f"denominator vanishes at h = {h}")
-        return P.peval(self.num, h) / den
+        shift = len(self.den) - len(self.num)  # num(h)/den(h) = num q^shift / den
+        num = P.phorner(self.num, p, q)
+        return Fraction(num * q**shift, den) if shift >= 0 else Fraction(num, den * q**-shift)
 
     def text(self) -> str:
         body = f"({P.pstr(self.num)})"

@@ -12,12 +12,17 @@ s the signed first kind and S the second: put x = omega log(1+D) in
 log(1+D)^k / k! = sum_i s(i, k) D^i / i!.  On a sequence whose (p+1)-st
 difference vanishes, truncating the sum at i = p is exact; that truncation
 is the slow-varying condition the multiscale expansion rests on.
+
+The arithmetic is in integers.  With omega = a/b, scale the D^i coefficient
+of every series by b^i i!: binom(omega, k) becomes the falling product
+prod_{l<k} (a - l b), and as b^i i! = comb(i, m) b^m m! b^(i-m) (i-m)!, a
+product of series becomes an integer convolution with binomial weights.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, InsufficientSamples
@@ -51,23 +56,18 @@ def jordan_coefficients(
     if omega <= 0:
         raise DomainError("the increment ratio omega must be positive")
     top = max_i if p is None else min(max_i, p)
-    # binom[k] = binom(omega, k), the D^k coefficient of (1+D)^omega; the
-    # convolution skips k = 0, so it multiplies by (1+D)^omega - 1
-    binom = [Fraction(1)]
-    for k in range(1, top + 1):
-        binom.append(binom[-1] * (omega - k + 1) / k)
-    power = [Fraction(1)] + [Fraction(0)] * top
+    a, b = omega.numerator, omega.denominator
+    # falling[k] = b^k k! binom(omega, k); the convolution skips k = 0, so
+    # it multiplies by the scaled (1+D)^omega - 1
+    falling = [1]
+    for k in range(top):
+        falling.append(falling[-1] * (a - k * b))
+    power = [1] + [0] * top
     for _ in range(j):
-        power = [sum(power[a] * binom[i - a] for a in range(i)) for i in range(top + 1)]
-    return JordanExpansion(j, omega, {i: power[i] for i in range(j, top + 1)}, p)
-
-
-def _difference(samples: Sequence, base: int, order: int, stride: int):
-    total = 0
-    for r in range(order + 1):
-        term = samples[base + r * stride]
-        total = total + (-1) ** (order - r) * comb(order, r) * term
-    return total
+        power = [sum(comb(i, m) * power[m] * falling[i - m] for m in range(i))
+                 for i in range(top + 1)]
+    coefficients = {i: Fraction(power[i], b**i * factorial(i)) for i in range(j, top + 1)}
+    return JordanExpansion(j, omega, coefficients, p)
 
 
 def sample_window(exp: JordanExpansion, step: Rational = 1) -> Tuple[int, int, int]:
@@ -91,7 +91,7 @@ def sample_window(exp: JordanExpansion, step: Rational = 1) -> Tuple[int, int, i
 
 def verify_on_sequence(
     exp: JordanExpansion, samples: Sequence[Rational], step: Rational = 1
-):
+) -> Fraction:
     """Largest gap between the coarse difference and its fine expansion over
     every base point the sample window supports (see sample_window)."""
     fine, coarse, span = sample_window(exp, step)
@@ -99,14 +99,17 @@ def verify_on_sequence(
         raise InsufficientSamples(
             f"need at least {span + 1} samples, got {len(samples)}"
         )
-    worst = 0
-    for base in range(len(samples) - span):
-        left = _difference(samples, base, exp.target_order, coarse)
-        right = sum(
-            coeff * _difference(samples, base, i, fine)
-            for i, coeff in exp.coefficients.items()
-        )
-        gap = abs(left - right)
-        if gap > worst:
-            worst = gap
-    return worst
+    values = [Fraction(x) for x in samples]  # a float counts at its exact value
+    scale = lcm(*[v.denominator for v in values])
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    weight = lcm(*[c.denominator for c in exp.coefficients.values()])
+    # weight * (coarse difference - fine expansion) as one integer stencil
+    terms = [(exp.target_order, coarse, weight)] + [
+        (i, fine, -weight // c.denominator * c.numerator) for i, c in exp.coefficients.items()]
+    stencil = [0] * (span + 1)
+    for order, stride, factor in terms:
+        for r in range(order + 1):
+            stencil[r * stride] += factor * (-1) ** (order - r) * comb(order, r)
+    worst = max(abs(sum(w * ints[base + off] for off, w in enumerate(stencil) if w))
+                for base in range(len(ints) - span))
+    return Fraction(worst, weight * scale)

@@ -5,18 +5,19 @@ for the canonical coefficient text, the h-specialisation and the c -> -c
 involution of the scalar ring, the Lie bracket of two flows, the
 traveling-wave residual, the graded weight of a factor and of a monomial
 (with the GradingError checks that say which factors are gradable), the
-two Stirling triangles built by their recurrences, and the substitution of
+two Stirling triangles built by their recurrences, the gap of a difference
+re-expansion taken one Fraction step at a time, and the substitution of
 names in a KnownPoly through its ring operations, with a recorder of the
-scalar calls (RatFunc multiplies and pgcd) that a block makes.  The package computes
-the graded bases and the difference re-expansion in closed form, and
-substitutes on plain term maps, so these share no code with what they
-check.
+scalar calls (RatFunc multiplies and pgcd) that a block makes.  The package
+computes the graded bases and the difference re-expansion in closed form
+and in integers, and substitutes on plain term maps, so these share no code
+with what they check.
 """
 
 import ast
 import contextlib
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from asymint import _polyops
 from asymint.diffpoly import DiffPolynomial, FieldSymbol, Monomial, accumulate
@@ -197,6 +198,32 @@ def stirling_coefficients(j: int, omega: Fraction, top: int) -> dict:
         * sum(omega**k * stirling_first(i, k) * stirling_second(k, j) for k in range(j, i + 1))
         for i in range(j, top + 1)
     }
+
+
+def _difference(samples, base: int, order: int, stride: int):
+    total = 0
+    for r in range(order + 1):
+        term = samples[base + r * stride]
+        total = total + (-1) ** (order - r) * comb(order, r) * term
+    return total
+
+
+def verify_by_fractions(exp, samples, step=1):
+    """Largest gap between the coarse difference and its fine expansion, one
+    Fraction per arithmetic step, over every base point the window covers."""
+    fine, coarse = int(1 / Fraction(step)), int(exp.omega / Fraction(step))
+    max_i = max(exp.coefficients, default=exp.target_order)
+    span = max(exp.target_order * coarse, max_i * fine)
+    samples = [Fraction(x) for x in samples]
+    worst = Fraction(0)
+    for base in range(len(samples) - span):
+        left = _difference(samples, base, exp.target_order, coarse)
+        right = sum(
+            coeff * _difference(samples, base, i, fine)
+            for i, coeff in exp.coefficients.items()
+        )
+        worst = max(worst, abs(left - right))
+    return worst
 
 
 # --- substitution in forcing coefficients ------------------------------------------

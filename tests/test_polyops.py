@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asymint import _polyops as P
+from asymint.errors import DomainError
+from asymint.field import RatFunc
 
 polys = st.lists(st.integers(-30, 30), max_size=6).map(P.pnormalize)
 small_polys = st.lists(st.integers(-9, 9), max_size=4).map(P.pnormalize)
@@ -76,6 +78,47 @@ def test_product_divides_exactly(a, b):
 def test_eval_is_ring_hom(a, x):
     b = (2, -1)
     assert P.peval(P.pmul(a, b), x) == P.peval(a, x) * P.peval(b, x)
+
+
+def fraction_horner(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+points = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-1), Fraction(1, 3), Fraction(-7, 10**30)]),
+    st.fractions(),
+    st.fractions(max_denominator=10**40),
+)
+
+
+@given(st.one_of(st.just(()), st.integers().map(lambda k: P.pnormalize([k])), polys,
+                 st.lists(st.integers(), max_size=12).map(P.pnormalize)), points)
+def test_eval_matches_a_fraction_horner(a, x):
+    value = P.peval(a, x)
+    assert type(value) is Fraction
+    assert value == fraction_horner(a, x)
+
+
+@given(polys, small_polys.filter(bool), points)
+def test_ratfunc_eval_matches_the_quotient_of_fraction_horners(num, den, h):
+    r = RatFunc(num, den)
+    if fraction_horner(r.den, h) == 0:
+        with pytest.raises(DomainError):
+            r.eval(h)
+    else:
+        assert r.eval(h) == fraction_horner(r.num, h) / fraction_horner(r.den, h)
+
+
+def test_ratfunc_eval_rejects_a_root_of_its_denominator():
+    r = RatFunc((1, 0, 2), (-1, 3))  # (1 + 2h^2) / (3h - 1)
+    with pytest.raises(DomainError):
+        r.eval(Fraction(1, 3))
+    assert r.eval(Fraction(1, 2)) == Fraction(3, 1)
+    assert RatFunc((5,), (-1, 3)).eval(Fraction(-1, 3)) == Fraction(-5, 2)
+    assert RatFunc(()).eval(Fraction(1, 3)) == 0
 
 
 def test_sign_analysis_on_unit_interval():
