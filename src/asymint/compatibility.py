@@ -28,7 +28,7 @@ from .diffpoly import (
     accumulate,
     time_derivative,
 )
-from .errors import InconsistentSystemError, ZeroInverse
+from .errors import InconsistentSystemError, MissingEvolutionError, ZeroInverse
 from .field import CoeffElement, CoeffField
 from .hierarchy import FlowHierarchy
 from .knowns import KnownPoly
@@ -222,7 +222,7 @@ def _t3_correction(problem: CompatibilityProblem) -> Dict[str, KnownPoly]:
 
 
 def build_problem(engine_report, order: int) -> CompatibilityProblem:
-    """Assemble the commutation problem at the given order from a completed
+    """Assemble the commutation problem at order 7 or 9 from a completed
     reduction.  Order seven always lives in the potential variant; order
     nine follows the variant the reduction itself selected."""
     field = engine_report.field
@@ -232,16 +232,12 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
     problem = _order7_problem(engine_report, hier)
     if order == 7:
         return problem
-    if order != 9:
-        raise ValueError(f"no commutation problem at order {order}")
-    variant = engine_report.variant
-    if variant not in NINTH_ORDER:
-        raise ValueError(f"reduction report carries no ninth-order variant: {variant!r}")
 
     f_t3_solved = T3_SECOND.polynomial(_t3_correction(build_problem(engine_report, 7)))
     rules = problem.evolution_rules
     rules.set("phi", 2, 3, _lifted(hier.linearized(3, beta3, "phi", 2)) + f_t3_solved)
 
+    variant = engine_report.variant
     kind, third, name = NINTH_ORDER[variant]
     ansatz_basis = LabeledBasis("q", third.weight + 2, third.grading, 2)
     known_values = problem.known_values
@@ -271,11 +267,15 @@ def build_problem(engine_report, order: int) -> CompatibilityProblem:
 
 def commutator_equations(problem: CompatibilityProblem) -> List[KnownPoly]:
     """Per-monomial coefficients of d_{t3}(t2 rule) - d_{t2}(t3 rule) on the
-    target field; each must vanish."""
+    target field; each must vanish.  MissingEvolutionError when a field of
+    either rule has no rule for the other slow time."""
     rules = problem.evolution_rules
     r2 = rules.get(problem.target, 2)
     r3 = rules.get(problem.target, 3)
     e = time_derivative(r2, 3, rules) - time_derivative(r3, 2, rules)
+    missing = e.tagged_unknowns()
+    if missing:
+        raise MissingEvolutionError(f"no evolution rule for {missing[0].name()}")
     return [coeff for _, coeff in e.iter_sorted()]
 
 

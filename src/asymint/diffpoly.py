@@ -21,9 +21,9 @@ sums of the other modules (KnownPoly, SechPoly, EpsSeries).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .errors import GradingError, MissingEvolutionError, NonLocalError
+from .errors import GradingError, NonLocalError
 
 
 class FieldSymbol(NamedTuple):
@@ -331,14 +331,11 @@ class EvolutionRules:
         self.table[(kind, index, m)] = value
 
 
-def time_derivative(
-    poly: DiffPolynomial, m: int, rules: EvolutionRules, strict: bool = True
-) -> DiffPolynomial:
+def time_derivative(poly: DiffPolynomial, m: int, rules: EvolutionRules) -> DiffPolynomial:
     """d_{t_m} of a differential polynomial via the chain rule.
 
-    Fields without a rule become tagged leaves (strict=False) or raise
-    MissingEvolutionError (strict=True).  The fast-phase marker tau is a
-    slow-time constant.
+    Fields without a rule become tagged leaves.  The fast-phase marker tau
+    is a slow-time constant.
     """
     acc: Dict[Monomial, object] = {}
     for mon, coeff in poly.terms.items():
@@ -346,60 +343,49 @@ def time_derivative(
             if sym.kind == "tau":
                 continue
             rest = mon[:i] + mon[i + 1:]
-            derived = _derive_leaf(sym, ell, m, rules, strict)
-            if derived is None:
+            rule = rules.get(sym, m)
+            if rule is None:
                 accumulate(acc, tuple(sorted(rest + ((sym.tagged(m), ell),))), coeff)
                 continue
+            derived = _through_tags(rule, sym.times, ell, rules)
             for term, c in derived.mul_monomial(rest).scale(coeff).terms.items():
                 accumulate(acc, term, c)
     return DiffPolynomial(acc)
 
 
-def _derive_leaf(
-    sym: FieldSymbol, ell: int, m: int, rules: EvolutionRules, strict: bool
-) -> Optional[DiffPolynomial]:
-    """d_{t_m} d_x^ell (d_{times} X) when a rule for (X, m) exists, else None."""
-    rule = rules.get(sym, m)
-    if rule is None:
-        if strict:
-            raise MissingEvolutionError(f"no rule for d_t{m} {sym.kind}{sym.index}")
-        return None
-    value = rule
-    for pending in sorted(sym.times, reverse=True):
-        value = time_derivative(value, pending, rules, strict)
+def _through_tags(
+    value: DiffPolynomial, times: Iterable[int], ell: int, rules: EvolutionRules
+) -> DiffPolynomial:
+    """d_x^ell d_{times} value: the pending slow times, latest first, then
+    the x-derivatives."""
+    for pending in sorted(times, reverse=True):
+        value = time_derivative(value, pending, rules)
     return value.d_x(ell)
 
 
-def substitute_slow_times(
-    poly: DiffPolynomial, rules: EvolutionRules, strict: bool = True
-) -> DiffPolynomial:
-    """Resolve every tagged leaf through the available evolution rules."""
+def substitute_slow_times(poly: DiffPolynomial, rules: EvolutionRules) -> DiffPolynomial:
+    """Resolve every tagged leaf through the available evolution rules; a
+    tag without a rule stays."""
     acc: Dict[Monomial, object] = {}
     for mon, coeff in poly.terms.items():
         piece = DiffPolynomial.constant(rules.one).scale(coeff)
         for sym, ell in mon:
-            piece = piece * _resolve_leaf(sym, ell, rules, strict)
-            if not piece:
-                break
+            piece = piece * _resolve_leaf(sym, ell, rules)
         for m, c in piece.terms.items():
             accumulate(acc, m, c)
     return DiffPolynomial(acc)
 
 
-def _resolve_leaf(
-    sym: FieldSymbol, ell: int, rules: EvolutionRules, strict: bool
-) -> DiffPolynomial:
-    """d_x^ell of a tagged leaf: its latest slow time through _derive_leaf
-    on the leaf without that tag, then whatever tags the result carries."""
-    if not sym.times:
-        return DiffPolynomial.leaf(sym, ell, rules.one)
-    remaining = sorted(sym.times)
-    pending = remaining.pop()
-    inner = FieldSymbol(sym.kind, sym.index, tuple(remaining))
-    value = _derive_leaf(inner, ell, pending, rules, strict)
-    if value is None:
-        return DiffPolynomial.leaf(sym, ell, rules.one)
-    return substitute_slow_times(value, rules, strict)
+def _resolve_leaf(sym: FieldSymbol, ell: int, rules: EvolutionRules) -> DiffPolynomial:
+    """d_x^ell of a tagged leaf: the rule of its latest slow time, pushed
+    through its earlier tags, then whatever tags the result carries.  A leaf
+    without tags, or without a rule for its latest one, stays as it is."""
+    if sym.times:
+        *earlier, latest = sorted(sym.times)
+        rule = rules.get(sym, latest)
+        if rule is not None:
+            return substitute_slow_times(_through_tags(rule, earlier, ell, rules), rules)
+    return DiffPolynomial.leaf(sym, ell, rules.one)
 
 
 def substitute_field(
@@ -415,10 +401,7 @@ def substitute_field(
         plain: List[Factor] = []
         for sym, ell in mon:
             if sym.kind == kind and sym.index == index:
-                sub = value
-                for t in sorted(sym.times, reverse=True):
-                    sub = time_derivative(sub, t, rules, strict=False)
-                pieces.append(sub.d_x(ell))
+                pieces.append(_through_tags(value, sym.times, ell, rules))
             else:
                 plain.append((sym, ell))
         term = pieces[0]

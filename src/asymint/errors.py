@@ -27,7 +27,7 @@ class NonLocalError(AsymintError):
 
 
 class MissingEvolutionError(AsymintError):
-    """A slow-time derivative was requested for a field with no evolution rule."""
+    """A commutator still carries a tagged leaf: a field with no evolution rule."""
 
 
 class ExpansionPointError(AsymintError):

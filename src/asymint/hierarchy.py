@@ -25,8 +25,6 @@ class FlowHierarchy:
     __slots__ = ("field", "_ratio", "_dphi", "_d2phi")
 
     def __init__(self, alpha1: CoeffElement, alpha2: CoeffElement):
-        if not alpha1:
-            raise ValueError("the dispersive coefficient must be invertible")
         self.field = alpha1.field
         self._ratio = alpha2 / alpha1
         one = self.field.one
@@ -43,8 +41,6 @@ class FlowHierarchy:
     def flow(self, j: int, beta) -> DiffPolynomial:
         """K_j for the given normalization beta_j (beta_2 = alpha1 gives the
         weight-4 flow alpha1 d^3 phi1 + alpha2 (dphi1)^2)."""
-        if j < 1:
-            raise ValueError("flow index must be positive")
         cur = self._d2phi
         for _ in range(j - 1):
             cur = self.recursion(cur)

@@ -125,8 +125,6 @@ class KnownPoly(SparseSum):
         for key, coeff in self.terms.items():
             piece = coeff
             for name, power in key:
-                if name not in values:
-                    raise KeyError(f"no value supplied for symbol {name!r}")
                 piece = piece * values[name] ** power
             total = total + piece
         return total

@@ -164,8 +164,6 @@ def expand_analytic(kind: str, arg: EpsSeries, field: CoeffField) -> EpsSeries:
         if arg.get(0) != DiffPolynomial.constant(field.one) or arg.contains_kind("tau"):
             raise ExpansionPointError(f"{kind} argument must equal 1 at eps^0")
         u = EpsSeries(arg.limit, {k: p for k, p in arg.terms.items() if k != 0})
-    else:
-        raise ValueError(f"unknown analytic primitive {kind!r}")
     coeff_fn = _ANALYTIC[kind]
     base = min(u.terms, default=None)
     out = EpsSeries(arg.limit)
@@ -282,14 +280,14 @@ class ReductionReport:
 
     def amplitude(self, i: int) -> DiffPolynomial:
         """The i-th amplitude correction with every slow-time tag resolved
-        through the evolution rules, leaving a plain jet polynomial."""
-        return substitute_slow_times(self.nu_solutions[i], self.rules, strict=True)
+        through the evolution rules."""
+        return substitute_slow_times(self.nu_solutions[i], self.rules)
 
     # substitution of everything known so far
     def resolved(self, poly: DiffPolynomial) -> DiffPolynomial:
         for i in sorted(self.nu_solutions):
             poly = substitute_field(poly, "nu", i, self.nu_solutions[i], self.rules)
-        return substitute_slow_times(poly, self.rules, strict=False)
+        return substitute_slow_times(poly, self.rules)
 
     def check_parity(self) -> None:
         if self.r_phi.get(0):

@@ -22,7 +22,7 @@ from asymint.compatibility import (
     strip_content,
 )
 from asymint.diffpoly import DiffPolynomial
-from asymint.errors import InconsistentSystemError, NonLocalError
+from asymint.errors import InconsistentSystemError, MissingEvolutionError, NonLocalError
 from asymint.field import CoeffField
 from asymint.knowns import KnownPoly
 from asymint.reduction import ReductionReport, run_reduction
@@ -153,6 +153,14 @@ def test_every_commutator_equation_is_accounted_for(engine, commutation):
             pivots[name] = KnownPoly.symbol(con.field, name) - con
         for eq in commutator_equations(problem):
             assert not eq.substitute(out.solved_coefficients).substitute(pivots)
+
+
+def test_a_field_without_a_rule_is_named(engine):
+    # the commutator is the one place that refuses a field without a rule
+    problem = build_problem(engine(1, 9), 7)
+    del problem.evolution_rules.table[("phi", 1, 3)]
+    with pytest.raises(MissingEvolutionError, match="phi1_t3"):
+        commutator_equations(problem)
 
 
 def test_strip_content_divides_out_stray_labels():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from asymint.diffpoly import DiffPolynomial, FieldSymbol, mono
+from asymint.errors import ZeroInverse
 from asymint.field import CoeffField
 from asymint.hierarchy import FlowHierarchy
 
@@ -152,5 +153,5 @@ def test_noncommuting_pair_is_detected():
 
 
 def test_zero_dispersive_coefficient_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroInverse):
         FlowHierarchy(F1.zero, F1.one)

@@ -38,12 +38,20 @@ def test_graded_space_dimensions():
         assert len(space) == dim
 
 
+def _covers_its_space(basis):
+    """True when the table names every monomial of its graded space exactly once."""
+    monomials = [m for _, m in basis.pairs]
+    space = enumerate_basis(basis.weight, basis.grading, basis.max_index)
+    return len(set(monomials)) == len(monomials) and set(monomials) == set(space)
+
+
 def test_frozen_tables_cover_their_spaces():
     for basis, prefix, dim in (
         (T2_SECOND, "a", 3), (T3_SECOND, "b", 6), (T2_THIRD, "c", 11), (T2_THIRD_KDV, "d", 14)
     ):
         assert len(basis.pairs) == dim
         assert basis.labels == tuple(f"{prefix}{i + 1}" for i in range(dim))
+        assert _covers_its_space(basis)
 
 
 def test_generic_basis_dimensions():
@@ -75,6 +83,9 @@ def test_polynomial_and_express_invert_each_other():
         T2_THIRD.express(DiffPolynomial({mono(("phi", 1, 1)): F.one}))
 
 
+
 def test_incomplete_table_is_rejected():
-    with pytest.raises(GradingError):
-        LabeledBasis("a", 6, "potential", 1, T2_SECOND.pairs[:-1])
+    pairs = T2_SECOND.pairs
+    stray = T3_SECOND.pairs[0]  # weight 8, outside the weight-6 space
+    for table in (pairs[:-1], pairs[:-1] + pairs[:1], pairs[:-1] + (stray,)):
+        assert not _covers_its_space(LabeledBasis("a", 6, "potential", 1, table))

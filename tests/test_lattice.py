@@ -285,10 +285,9 @@ def test_profile_rejects_a_field_it_does_not_carry(engine):
         on_window(DiffPolynomial.leaf(FieldSymbol("phi", 1), 2, rep.field.one))
 
 
-@pytest.mark.parametrize("dt, steps", [
-    (0.0, 5), (-0.1, 5), (math.inf, 5), (math.nan, 5), (0.1, -3),
-])
-def test_integrate_rejects_out_of_domain_steps(dt, steps):
-    state = LatticeState(np.ones(8, dtype=complex), H, 0.0)
-    with pytest.raises(DomainError):
-        integrate(state, dt, steps, 0)
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
+def test_error_scaling_rejects_out_of_domain_steps(dt):
+    """integrate's one caller rejects the step before any work, and always
+    passes at least one step."""
+    with pytest.raises(DomainError, match="the step dt"):
+        error_scaling(1, H, [0.2, 0.1, 0.05], T=0.1, dt=dt)

@@ -7,7 +7,8 @@ nothing uses is dead.  Dunder methods are called by the interpreter, and
 the allow-list holds hooks that a library calls by name.  No module reads
 the environment: every choice a command makes is one of its options.  No
 module imports a name that it never reads.  No parameter keeps a default
-that no call in the package overrides.
+that no call in the package overrides, and none defaults to True or False:
+a mode switch is two code paths behind one name.
 """
 
 import ast
@@ -121,9 +122,10 @@ def test_no_module_imports_a_name_it_never_reads():
 
 
 def _defaults(tree):
-    """(function, parameter, position or None) for every parameter with a
-    default.  A method's position leaves out self or cls.  Dunder methods
-    are called by the interpreter under other names, so they are left out."""
+    """(function, parameter, position or None, default) for every parameter
+    with a default.  A method's position leaves out self or cls.  Dunder
+    methods are called by the interpreter under other names, so they are
+    left out."""
     methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                for node in cls.body}
     for _, node in _definitions(tree):
@@ -134,11 +136,11 @@ def _defaults(tree):
             isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
         positional = (a.posonlyargs + a.args)[bound:]
         first = len(positional) - len(a.defaults)
-        for position, arg in enumerate(positional[first:], first):
-            yield node.name, arg.arg, position
+        for position, (arg, default) in enumerate(zip(positional[first:], a.defaults), first):
+            yield node.name, arg.arg, position, default
         for arg, default in zip(a.kwonlyargs, a.kw_defaults):
             if default is not None:
-                yield node.name, arg.arg, None
+                yield node.name, arg.arg, None, default
 
 
 def _sets(call, param, position):
@@ -163,7 +165,7 @@ def unset_defaults():
                 calls.setdefault(name, []).append(node)
     found = []
     for file, tree in trees.items():
-        for function, param, position in _defaults(tree):
+        for function, param, position, _ in _defaults(tree):
             if f"{function}.{param}" in UNSET_DEFAULTS:
                 continue
             if not any(_sets(call, param, position) for call in calls.get(function, [])):
@@ -173,3 +175,16 @@ def unset_defaults():
 
 def test_every_default_is_set_by_some_call_in_the_package():
     assert unset_defaults() == []
+
+
+def boolean_defaults():
+    """file:function.parameter of every parameter that defaults to True or
+    False."""
+    return sorted(f"{file}:{function}.{param}"
+                  for file, tree in _trees().items()
+                  for function, param, _, default in _defaults(tree)
+                  if isinstance(default, ast.Constant) and isinstance(default.value, bool))
+
+
+def test_no_parameter_defaults_to_a_boolean():
+    assert boolean_defaults() == []

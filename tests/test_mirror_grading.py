@@ -11,6 +11,9 @@ phi equation it comes from, the parity is D + 1.  A label carries the
 parity of its monomial, plus one for the kdv variant's d and q labels, and
 each term of the symbolic order-9 solve carries its coefficient's parity
 plus those of its known labels.
+
+The mirror (h, n) -> (-h, -n) leaves x and both lattices unchanged, so
+every coefficient is also even in h, in its even and in its odd part.
 """
 
 import pytest
@@ -78,3 +81,34 @@ def test_the_symbolic_order9_solve_keeps_the_label_parities(
                 for c in report.residual_constraints]
     assert sum(len(c.terms) for c in report.residual_constraints) == constraint_terms
     assert parities == [{p} for p in constraint_parities]
+
+
+def even_in_h(value):
+    """Whether both parts of a scalar are even in h.  A reduced quotient is
+    even exactly when neither its numerator nor its denominator has an odd
+    power of h: an odd numerator over an odd denominator shares the factor h."""
+    return not any(a for part in (value.even, value.odd)
+                   for poly in (part.num, part.den) for a in poly[1::2])
+
+
+def report_scalars(rep):
+    """Every alpha, beta, flow and forcing coefficient of a report."""
+    return ([*rep.alphas.values(), *rep.betas.values()]
+            + [x for flow in rep.flows.values() for x in flow.terms.values()]
+            + [x for forcing in rep.forcings.values() for x in forcing.coefficients.values()])
+
+
+@pytest.mark.parametrize("s, count", [(0, 59), (1, 42)])
+def test_every_reduction_coefficient_is_even_in_h(engine, s, count):
+    scalars = report_scalars(engine(s, 9))
+    assert len(scalars) == count
+    assert [x.text() for x in scalars if not even_in_h(x)] == []
+
+
+@pytest.mark.parametrize("s, count", [(0, 397), (1, 250)])
+def test_every_scalar_of_the_symbolic_order9_solve_is_even_in_h(commutation, s, count):
+    report = commutation(s, 9)
+    scalars = [x for poly in [*report.solved_coefficients.values(), *report.residual_constraints]
+               for x in poly.terms.values()]
+    assert len(scalars) == count
+    assert [x.text() for x in scalars if not even_in_h(x)] == []

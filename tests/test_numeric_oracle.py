@@ -79,7 +79,7 @@ def residual(rep, eps):
     amps = {i: rep.amplitude(i) for i in (1, 2, 3)}
     damps = {i: amps[i].d_x() for i in amps}
     tders = {
-        (i, m): drop_tagged(time_derivative(amps[i], m, rules, strict=False))
+        (i, m): drop_tagged(time_derivative(amps[i], m, rules))
         for i in amps
         for m in (2, 3)
     }

@@ -8,9 +8,10 @@ elimination: the ansatz block must have full column rank, and the system
 is consistent (augmented rank equal to it) exactly when asymint says PASS.
 
 On the integrable branch s = 1, c^2 = 1 - h^2 is a rational square at the
-Pythagorean spacings 3/5 (c = 4/5) and 5/13 (c = 12/13).  On s = 0 the ring
-Q[c]/(c^2 - 1) splits into the branches c = 1 and c = -1; both are checked,
-at spacings on either side of the witness root h* ~ 0.7829.
+Pythagorean spacings 3/5 (c = 4/5), 5/13 (c = 12/13) and 8/17 (c = 15/17).
+On s = 0 the ring Q[c]/(c^2 - 1) splits into the branches c = 1 and
+c = -1; both are checked, at spacings on either side of the witness root
+h* ~ 0.7829.
 """
 
 from fractions import Fraction
@@ -33,6 +34,7 @@ PINNED = [
     (0, Fraction(39, 50), Fraction(-1), 31),
     (0, Fraction(79, 100), Fraction(1), 31),
     (0, Fraction(79, 100), Fraction(-1), 31),
+    (1, Fraction(8, 17), Fraction(15, 17), 24),
 ]
 
 _PROBLEMS = {}
