@@ -322,10 +322,12 @@ class CoeffElement:
         return self.even.eval(h), self.odd.eval(h)
 
     def eval_float(self, h) -> float:
-        """Float value with c the positive square root of the field's c^2."""
-        hq = Fraction(h) if not isinstance(h, Fraction) else h
-        ev, od = self.eval_exact(hq)
-        return float(ev) + float(od) * _fsqrt(float(self.field._radicand.eval(hq)))
+        """Float value with c the positive square root of the field's c^2,
+        evaluated only under a nonzero odd part (float(Fraction) is never -0.0)."""
+        ev, od = self.eval_exact(h)
+        if not od:
+            return float(ev)
+        return float(ev) + float(od) * _fsqrt(float(self.field._radicand.eval(Fraction(h))))
 
     def text(self) -> str:
         """Canonical display: '(even)/den + (odd)/den*c' with reduced parts."""

@@ -7,6 +7,7 @@ symbolically by substituting them back into the slow-time flow.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from asymint.lattice import (
     SolitonData,
     _fit_slope,
     _on_jets,
+    _scalars,
     error_scaling,
     integrate,
     rhs,
@@ -37,6 +39,22 @@ def random_state(seed=7, sites=64):
     return LatticeState(0.9 * values / np.max(np.abs(values)), H, 0.0)
 
 
+def rhs_on(state, s, scale=1.0, out=None, work=None):
+    """rhs on the window of state: the window goes into a halo-padded copy and
+    the scalars come from the module's own _scalars; rhs must leave that copy
+    untouched."""
+    f = state.values
+    padded = np.concatenate([f[-1:], f, f[:1]])
+    before = padded.copy()
+    if out is None:
+        out = np.empty(len(f), dtype=complex)
+    if work is None:
+        work = np.empty(len(f), dtype=complex)
+    got = rhs(padded, s, _scalars(s, scale, state.h), out, work)
+    assert np.array_equal(padded, before)
+    return got
+
+
 def test_fit_slope_matches_lstsq():
     rng = np.random.default_rng(3)
     for points in (3, 4, 5, 6):
@@ -52,8 +70,8 @@ def test_rhs_equilibrium_and_zero():
     ones = LatticeState(np.ones(16, dtype=complex), H, 0.0)
     zero = LatticeState(np.zeros(16, dtype=complex), H, 0.0)
     for s in (0, 1):
-        assert np.allclose(rhs(ones, s), -1j, atol=1e-15)
-        assert np.all(rhs(zero, s) == 0)
+        assert np.allclose(rhs_on(ones, s), -1j, atol=1e-15)
+        assert np.all(rhs_on(zero, s) == 0)
 
 
 def roll_rhs(f, s, h=H):
@@ -65,7 +83,7 @@ def roll_rhs(f, s, h=H):
 def test_rhs_matches_hand_expression():
     state = random_state()
     for s in (0, 1):
-        assert np.allclose(rhs(state, s), roll_rhs(state.values, s), atol=1e-14)
+        assert np.allclose(rhs_on(state, s), roll_rhs(state.values, s), atol=1e-14)
 
 
 def test_rhs_matches_the_roll_expression_across_spacings_and_branches():
@@ -75,23 +93,15 @@ def test_rhs_matches_the_roll_expression_across_spacings_and_branches():
     for h in (0.5, 0.05, 0.01):
         for s in (0, 1, 0.5, -1):
             want = roll_rhs(f, s, h)
-            got = rhs(LatticeState(f, h, 0.0), s)
+            got = rhs_on(LatticeState(f, h, 0.0), s)
             assert np.allclose(got, want, rtol=0, atol=2e-15 * np.max(np.abs(want))), (h, s)
-
-
-def test_rhs_accepts_a_real_window():
-    rng = np.random.default_rng(5)
-    f = rng.normal(size=32)
-    for s in (0, 1):
-        got = rhs(LatticeState(f, H, 0.0), s)
-        assert np.array_equal(got, rhs(LatticeState(f.astype(complex), H, 0.0), s))
 
 
 def test_rhs_branches_differ_by_the_saturation_factor():
     state = random_state(seed=11)
     f = state.values
     lap = np.roll(f, -1) - 2 * f + np.roll(f, 1)
-    got = rhs(state, 1) - rhs(state, 0)
+    got = rhs_on(state, 1) - rhs_on(state, 0)
     assert np.allclose(got, -1j * lap * np.abs(f) ** 2 / 2, atol=1e-14)
 
 
@@ -100,7 +110,7 @@ def test_rhs_wraps_the_smallest_windows(sites):
     rng = np.random.default_rng(sites)
     f = rng.normal(size=sites) + 1j * rng.normal(size=sites)
     for s in (0, 1):
-        got = rhs(LatticeState(f, H, 0.0), s)
+        got = rhs_on(LatticeState(f, H, 0.0), s)
         assert np.allclose(got, roll_rhs(f, s), rtol=0, atol=1e-14)
 
 
@@ -108,14 +118,14 @@ def test_rhs_writes_the_scaled_slope_into_the_given_buffers():
     state = random_state()
     before = state.values.copy()
     for s in (0, 1, 0.5, -1):
-        want = rhs(state, s)
+        want = rhs_on(state, s)
         for scale in (0.01, 0.5, 3.7):
             out = np.empty_like(want)
-            got = rhs(state, s, scale, out)
+            got = rhs_on(state, s, scale, out)
             assert got is out
             # the scale rides in the scalars: equal up to a rounding of the largest entry
             assert np.max(np.abs(got - scale * want)) <= 1e-15 * np.max(np.abs(scale * want)), (s, scale)
-            assert np.array_equal(rhs(state, s, scale, np.empty_like(want), np.empty_like(want)), got)
+            assert np.array_equal(rhs_on(state, s, scale, np.empty_like(want), np.empty_like(want)), got)
     assert np.array_equal(state.values, before)
 
 
@@ -156,6 +166,41 @@ def test_integrate_calls_the_module_rhs_four_times_a_step(monkeypatch, steps):
     for s in (0, 1):
         integrate(random_state(), 0.02, steps, s)
     assert calls == [0] * (4 * steps) + [1] * (4 * steps)
+
+
+def test_integrate_accepts_a_real_window():
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=32)
+    for s in (0, 1):
+        got = integrate(LatticeState(f, H, 0.0), 0.02, 5, s).values
+        assert np.array_equal(got, integrate(LatticeState(f.astype(complex), H, 0.0), 0.02, 5, s).values)
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_the_step_loop_allocates_nothing(s):
+    # integrate's buffers: one block of seven complex rows of m cells, plus
+    # 64 bytes to align it; a temporary of the window's size made anywhere in
+    # the step loop (19,200 B here) exceeds the slack
+    sites = 1200
+    m = 4 * (sites // 4 + 2)
+    state = random_state(sites=sites)
+    integrate(state, 0.02, 2, s)  # numpy's first calls of a loop may fill its caches
+    tracemalloc.start()
+    try:
+        integrate(state, 0.02, 20, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 7 * m + 64 + 8192, peak
+
+
+@pytest.mark.parametrize("sites", [1, 2, 3, 64, 1201])
+def test_integrate_keeps_the_field_on_a_64_byte_boundary(sites):
+    # the returned values view the field's row of integrate's block, whose
+    # windows all start on a 64-byte boundary
+    final = integrate(random_state(sites=sites), 0.02, 1, 0)
+    assert final.values.__array_interface__["data"][0] % 64 == 0
+    assert final.values.flags.c_contiguous and len(final.values) == sites
 
 
 def test_integrate_leaves_the_input_state_untouched():
