@@ -40,11 +40,6 @@ def pnormalize(coeffs: Iterable[int]) -> Poly:
     return tuple(out)
 
 
-def pdegree(a: Poly) -> int:
-    """Degree, with the zero polynomial mapped to -1."""
-    return len(a) - 1
-
-
 def padd(a: Poly, b: Poly) -> Poly:
     if len(a) < len(b):
         a, b = b, a
@@ -114,7 +109,7 @@ def ppseudo_rem(a: Poly, b: Poly) -> Poly:
     if not b:
         raise ZeroDivisionError("pseudo-remainder by zero polynomial")
     r = list(a)
-    db, lb = pdegree(b), b[-1]
+    db, lb = len(b) - 1, b[-1]
     while len(r) > db:  # r has no trailing zeros, so r[-1] leads
         lr = r[-1]
         shift = len(r) - 1 - db
@@ -144,10 +139,10 @@ def pdivexact(a: Poly, b: Poly) -> Poly:
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _pdivlong(a: Poly, b: Poly) -> Poly:
     r = list(a)
-    db, lb = pdegree(b), b[-1]
-    if pdegree(a) < db:
+    db, lb = len(b) - 1, b[-1]
+    if len(a) < len(b):
         raise ArithmeticError("inexact polynomial division")
-    q = [0] * (pdegree(a) - db + 1)
+    q = [0] * (len(a) - db)
     for k in range(len(q) - 1, -1, -1):
         lead = r[k + db]
         if lead % lb:
