@@ -276,7 +276,7 @@ def commutator_equations(problem: CompatibilityProblem) -> List[KnownPoly]:
     missing = e.tagged_unknowns()
     if missing:
         raise MissingEvolutionError(f"no evolution rule for {missing[0].name()}")
-    return [coeff for _, coeff in e.iter_sorted()]
+    return [coeff for _, coeff in sorted(e.terms.items())]
 
 
 def solve_compatibility(problem: CompatibilityProblem) -> CompatibilityReport:

@@ -21,7 +21,7 @@ sums of the other modules (KnownPoly, SechPoly, EpsSeries).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import GradingError, NonLocalError
 
@@ -157,10 +157,6 @@ class DiffPolynomial(SparseSum):
     @classmethod
     def leaf(cls, sym: FieldSymbol, ell: int, coeff) -> "DiffPolynomial":
         return cls({((sym, ell),): coeff}) if coeff else cls({})
-
-    def iter_sorted(self) -> Iterator[Tuple[Monomial, object]]:
-        for m in sorted(self.terms):
-            yield m, self.terms[m]
 
     # --- ring structure ---------------------------------------------------
 
@@ -300,7 +296,7 @@ class DiffPolynomial(SparseSum):
             return "0"
         return " + ".join(
             f"({coeff.text() if hasattr(coeff, 'text') else coeff})*{monomial_text(m)}"
-            for m, coeff in self.iter_sorted()
+            for m, coeff in sorted(self.terms.items())
         )
 
     def __repr__(self) -> str:

@@ -15,7 +15,8 @@ to the flow-advanced prediction scales in epsilon.
 
 The window of n sites sits between two halo cells that rhs sets to its
 periodic neighbours.  A step is 4 x 8 + 9 array passes (four rhs calls, three
-stage adds, a six-pass running slope sum); only s outside {0, 1} allocates.
+stage adds, a six-pass running slope sum divided by 3 on its float view), with
+views and ufuncs bound once per integrate; only s outside {0, 1} allocates.
 
 The traveling profile is solved, not transcribed: a sech^2 ansatz for the
 derivative field goes into the engine's own second flow and the amplitude and
@@ -56,18 +57,21 @@ class LatticeState:
         self.time = time
 
 
-def _scalars(s: int, scale: float, h: float) -> Tuple[np.ndarray, ...]:
-    """The scalars of rhs at one stage scale, as 0-d arrays: numpy applies those faster."""
+def _scalars(s: int, scale: float, h: float) -> Tuple[object, ...]:
+    """The scalars of rhs at one stage scale as 0-d arrays, which numpy applies
+    faster, then the four ufuncs rhs calls, so that it looks none up."""
     import numpy as np
 
     c = scale / h**2
-    return tuple(np.array(v) for v in (0.5j * c, -0.5j * s * scale, 1j * (1 - s) * scale, 1j * c))
+    scalars = (0.5j * c, -0.5j * s * scale, 1j * (1 - s) * scale, 1j * c)
+    return tuple(map(np.array, scalars)) + (np.conjugate, np.multiply, np.add, np.subtract)
 
 
-def rhs(padded: np.ndarray, s: int, scalars: Tuple[np.ndarray, ...], out: np.ndarray,
+def rhs(window: Tuple[np.ndarray, ...], s: int, scalars: Tuple[object, ...], out: np.ndarray,
         work: np.ndarray) -> np.ndarray:
-    """scale times df_n/dt, into out, on the window f = padded[1:-1], whose halo
-    cells rhs sets to f_{n-1} (left) and f_0 (right); scalars = _scalars(s, scale, h):
+    """scale times df_n/dt, into out, on window = (padded, f, padded[2:],
+    padded[:-2]), f = padded[1:-1], whose halo cells rhs sets to f_{n-1} (left)
+    and f_0 (right); scalars = _scalars(s, scale, h):
 
         1j * (A_n (f_{n+1} + f_{n-1}) - B_n f_n),
         A_n = (1 - s h^2 |f_n|^2) / (2 h^2),  B_n = 1/h^2 + (1 - s) |f_n|^2.
@@ -75,28 +79,26 @@ def rhs(padded: np.ndarray, s: int, scalars: Tuple[np.ndarray, ...], out: np.nda
     |f_n|^2 = conj(f) * f goes into work, so every product is complex by
     complex; 1j, h and scale ride in the scalars, and the constant A (s = 0)
     or B (s = 1) costs no pass: 8 array passes, none allocating for s in {0, 1}."""
-    import numpy as np
-
+    padded, f, right, left = window
+    a_const, a_mod, b_mod, b_const, conjugate, multiply, add, subtract = scalars
     padded[0], padded[-1] = padded[-2], padded[1]
-    f = padded[1:-1]
-    a_const, a_mod, b_mod, b_const = scalars
-    mod = np.conjugate(f, work)
-    np.multiply(mod, f, mod)
-    np.add(padded[2:], padded[:-2], out)
+    mod = conjugate(f, work)
+    multiply(mod, f, mod)
+    add(right, left, out)
     if s == 0:
-        np.multiply(out, a_const, out)
+        multiply(out, a_const, out)
     else:
         # for s = 1, |f|^2 is read only here, so a may take its row
-        a = np.multiply(mod, a_mod, mod if s == 1 else None)
-        np.add(a, a_const, a)
-        np.multiply(out, a, out)
+        a = multiply(mod, a_mod, mod if s == 1 else None)
+        add(a, a_const, a)
+        multiply(out, a, out)
     if s == 1:
-        np.subtract(out, np.multiply(f, b_const, mod), out)
+        subtract(out, multiply(f, b_const, mod), out)
     else:
-        np.multiply(mod, b_mod, mod)
-        np.add(mod, b_const, mod)
-        np.multiply(mod, f, mod)
-        np.subtract(out, mod, out)
+        multiply(mod, b_mod, mod)
+        add(mod, b_const, mod)
+        multiply(mod, f, mod)
+        subtract(out, mod, out)
     return out
 
 
@@ -108,7 +110,10 @@ def integrate(state: LatticeState, dt: float, steps: int, s: int) -> LatticeStat
     cells on 64-byte boundaries, as numpy's vector loops run slower on split
     cache lines: the field (returned as a view) and the stage field, windows
     at cells 4..n + 3 between the halo cells rhs sets, then the slope sum, the
-    slope and |f|^2.  Raises StabilityError when the field stops being finite."""
+    slope and |f|^2.  Window tuples, scalars, ufuncs and np.add are bound once
+    per call; the sum is divided by 3 on its float view: the bits of the complex
+    product by 1/3 on finite values, up to the sign of a zero part.  Raises
+    StabilityError when the field stops being finite."""
     import numpy as np
 
     n = len(state.values)
@@ -116,27 +121,28 @@ def integrate(state: LatticeState, dt: float, steps: int, s: int) -> LatticeStat
     raw = np.empty(16 * 5 * m + 64, dtype=np.uint8)
     first = -raw.__array_interface__["data"][0] % 64
     rows = raw[first:first + 16 * 5 * m].view(complex).reshape(5, m)
-    y_pad, stage_pad = rows[:2, 3:n + 5]
+    y_win, stage_win = ((pad, pad[1:-1], pad[2:], pad[:-2]) for pad in rows[:2, 3:n + 5])
     y, stage, total, slope, work = rows[:, 4:n + 4]
     y[:] = state.values
     out = LatticeState(y, state.h, state.time)
     half, full = _scalars(s, 0.5 * dt, state.h), _scalars(s, dt, state.h)
+    add, third = np.add, total.view(float)
     check_every = max(1, steps // 64)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
             # dt/6 (K1 + 2 K2 + 2 K3 + K4) from slopes scaled by dt/2, dt/2, dt, dt/2
-            rhs(y_pad, s, half, total, work)
-            np.add(y, total, stage)
-            rhs(stage_pad, s, half, slope, work)
-            np.add(y, slope, stage)
+            rhs(y_win, s, half, total, work)
+            add(y, total, stage)
+            rhs(stage_win, s, half, slope, work)
+            add(y, slope, stage)
             slope += slope
             total += slope
-            rhs(stage_pad, s, full, slope, work)
-            np.add(y, slope, stage)
+            rhs(stage_win, s, full, slope, work)
+            add(y, slope, stage)
             total += slope
-            rhs(stage_pad, s, half, slope, work)
+            rhs(stage_win, s, half, slope, work)
             total += slope
-            total *= 1.0 / 3.0
+            third *= 1.0 / 3.0
             y += total
             out.time += dt
             if (step % check_every == 0 or step == steps - 1) and not np.isfinite(y.view(float)).all():

@@ -41,16 +41,18 @@ def random_state(seed=7, sites=64):
 
 def rhs_on(state, s, scale=1.0, out=None, work=None):
     """rhs on the window of state: the window goes into a padded copy whose
-    halo cells hold stale NaNs and the scalars come from the module's own
-    _scalars; rhs must set the halo to the periodic neighbours f[-1] and f[0]
-    and leave the window untouched."""
+    halo cells hold stale NaNs, rhs gets that copy's window tuple (padded,
+    window, right neighbours, left neighbours) and the scalars come from the
+    module's own _scalars; rhs must set the halo to the periodic neighbours
+    f[-1] and f[0] and leave the window untouched."""
     f = state.values
     padded = np.concatenate([[np.nan], f, [np.nan]])
     if out is None:
         out = np.empty(len(f), dtype=complex)
     if work is None:
         work = np.empty(len(f), dtype=complex)
-    got = rhs(padded, s, _scalars(s, scale, state.h), out, work)
+    window = (padded, padded[1:-1], padded[2:], padded[:-2])
+    got = rhs(window, s, _scalars(s, scale, state.h), out, work)
     assert np.array_equal(padded, np.concatenate([f[-1:], f, f[:1]]))
     return got
 
