@@ -28,7 +28,7 @@ from .diffpoly import (
     accumulate,
     time_derivative,
 )
-from .errors import InconsistentSystemError, MissingEvolutionError, ZeroInverse
+from .errors import InconsistentSystemError, MissingEvolutionError
 from .field import CoeffElement, CoeffField
 from .hierarchy import FlowHierarchy
 from .knowns import KnownPoly
@@ -95,9 +95,10 @@ def strip_content(poly: KnownPoly) -> KnownPoly:
 def eliminate_unknowns(
     equations: Sequence[KnownPoly], names: Sequence[str]
 ) -> Tuple[Dict[str, KnownPoly], List[KnownPoly]]:
-    """Solve the ansatz labels out of the linear system, pivoting only on
-    invertible constant coefficients so no division by a symbolic quantity
-    ever happens; returns the solved map and the unknown-free leftovers."""
+    """Solve the ansatz labels out of the linear system, pivoting on the
+    first constant coefficient in label order (a unit: by the mirror grading
+    every scalar is f or f*c), so no symbolic quantity is ever inverted;
+    returns the solved map and the unknown-free leftovers."""
     eqs = [e for e in equations if e]
     remaining = set(names)
     solved: Dict[str, KnownPoly] = {}
@@ -108,14 +109,9 @@ def eliminate_unknowns(
             for name in sorted(linear, key=_label_key):
                 # a constant has the single key (), and a stored value is nonzero
                 terms = linear[name].terms
-                if len(terms) != 1 or () not in terms:
-                    continue
-                try:
-                    inv = terms[()].inv()
-                except ZeroInverse:
-                    continue
-                pick = (idx, name, inv, linear, rest)
-                break
+                if len(terms) == 1 and () in terms:
+                    pick = (idx, name, terms[()].inv(), linear, rest)
+                    break
             if pick:
                 break
         if pick is None:
@@ -134,7 +130,7 @@ def eliminate_unknowns(
         remaining.discard(name)
     if remaining:
         raise InconsistentSystemError(
-            f"ansatz labels {sorted(remaining)} admit no invertible constant pivot"
+            f"ansatz labels {sorted(remaining)} admit no constant pivot"
         )
     stray = [e for e in eqs if any(n in e.symbols() for n in names)]
     if stray:
@@ -146,24 +142,17 @@ def rref(rows: Sequence[KnownPoly]) -> List[KnownPoly]:
     """Reduced row echelon form of the span of the rows, with the label
     monomials as columns in canonical order and every leading coefficient
     scaled to one.  The output depends only on the span, so it is the
-    canonical form used for constraint comparison.  Only invertible entries
-    serve as pivots: when c^2 = 1, rows whose remaining entries are all zero
-    divisors follow the pivot rows unscaled, so the span is kept."""
+    canonical form used for constraint comparison.  Each pivot is the first
+    remaining row holding its column; its entry is a unit by the mirror
+    grading, so every row ends as a pivot row or cancels."""
     work = [dict(r.terms) for r in rows if r]
     columns = sorted({key for row in work for key in row}, key=_column_key)
     done: List[Dict] = []
     for col in columns:
-        pivot = None
-        for row in work:
-            if col in row:
-                try:
-                    inv = row[col].inv()
-                except ZeroInverse:
-                    continue
-                pivot = row
-                break
+        pivot = next((row for row in work if col in row), None)
         if pivot is None:
             continue
+        inv = pivot[col].inv()
         work.remove(pivot)
         pivot = {k: v * inv for k, v in pivot.items()}
         for rows_set in (work, done):
@@ -175,7 +164,7 @@ def rref(rows: Sequence[KnownPoly]) -> List[KnownPoly]:
                     accumulate(row, k, -(f * v))
         done.append(pivot)
         work = [row for row in work if row]
-    return [KnownPoly(rows[0].field, terms) for terms in done + work]
+    return [KnownPoly(rows[0].field, terms) for terms in done]
 
 
 # --- problem assembly -------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 A monomial is a multiset of factors d^ell X where X is a field symbol:
 phi{j} (potential corrections), vphi{j} (their x-derivative fields), nu{j}
-(amplitude corrections), psi/rho (linearization directions) or tau (the fast
-phase marker).  Symbols may carry pending slow-time derivative tags; a tag
-multiset (2, 3) on phi1 means d_{t_2} d_{t_3} phi1 awaiting an evolution
-rule.
+(amplitude corrections) or tau (the fast phase marker).  Symbols may carry
+pending slow-time derivative tags; a tag multiset (2, 3) on phi1 means
+d_{t_2} d_{t_3} phi1 awaiting an evolution rule.
 
 Coefficients are duck-typed: anything with ring operations, truthiness for
 zero-testing and a text() method works (CoeffElement for the reduction,
@@ -253,18 +252,15 @@ class DiffPolynomial(SparseSum):
         return DiffPolynomial(acc)
 
     def rename_to_kdv(self) -> "DiffPolynomial":
-        """Rewrite d^ell phi{j} as d^(ell-1) vphi{j}; every phi factor must
-        carry at least one x-derivative."""
+        """Rewrite d^ell phi{j} as d^(ell-1) vphi{j}; every factor must be a
+        phi carrying at least one x-derivative."""
         acc: Dict[Monomial, object] = {}
         for m, coeff in self.terms.items():
             out = []
             for sym, ell in m:
-                if sym.kind == "phi":
-                    if ell < 1:
-                        raise GradingError(f"cannot rename underived factor {sym.name()}")
-                    out.append((FieldSymbol("vphi", sym.index, sym.times), ell - 1))
-                else:
-                    out.append((sym, ell))
+                if sym.kind != "phi" or ell < 1:
+                    raise GradingError(f"cannot rename factor d^{ell} {sym.name()}")
+                out.append((FieldSymbol("vphi", sym.index, sym.times), ell - 1))
             accumulate(acc, tuple(sorted(out)), coeff)
         return DiffPolynomial(acc)
 

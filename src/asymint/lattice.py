@@ -321,6 +321,10 @@ class ProfileBuilder:
 # --- error scaling ------------------------------------------------------------------
 
 
+# 39x the validate defaults' 51,187,500; ~70 s at 34 ns/site-step (2-vCPU Xeon)
+SITE_STEP_BUDGET = 2e9
+
+
 class ScalingRow(NamedTuple):
     epsilon: float
     sup_error: float
@@ -348,7 +352,8 @@ def error_scaling(
 ) -> ScalingResult:
     """Integrate from the constructed profile over the slow horizon T (so
     T / eps^3 lattice time) and fit the log-log slope of the sup gap to the
-    flow-advanced prediction."""
+    flow-advanced prediction.  A job above SITE_STEP_BUDGET site-steps is
+    refused before any work."""
     if len(eps_list) < 3 or len(set(eps_list)) != len(eps_list):
         raise DomainError("need at least three epsilon values, each at most once, for a slope")
     if not all(0 < eps <= 0.3 for eps in eps_list):
@@ -357,23 +362,25 @@ def error_scaling(
         raise DomainError("the lattice spacing h must lie in (0, 1)")
     if not (0 < T < math.inf and 0 < dt < math.inf):
         raise DomainError("the horizon T and the step dt must be positive and finite")
-    runs = []
+    runs, total = [], 0.0
     for eps in eps_list:
-        # eps * h and eps^3 may underflow to zero, the quotients overflow
+        # eps * h and eps^3 may underflow to zero, the quotients overflow to inf
         cell, cube = float(WIDTH) * eps * h, eps**3
         sites = 30.0 / cell if cell else math.inf
         horizon = T / cube if cube else math.inf
         steps = horizon / dt
-        if not (math.isfinite(sites) and math.isfinite(steps)):
-            raise DomainError(f"epsilon {eps:g} with h = {h:g}, T = {T:g} and dt = {dt:g}"
-                              " gives no finite window size and step count")
-        runs.append((eps, int(math.ceil(sites)), horizon, max(1, int(round(steps)))))
+        total += sites * max(1.0, steps)
+        runs.append((eps, sites, horizon, steps))
+    if not total <= SITE_STEP_BUDGET:
+        raise DomainError(f"these epsilon, h, T and dt need {total:.3g} lattice site-steps,"
+                          f" over the budget of {SITE_STEP_BUDGET:.3g}")
     import numpy as np
 
     report = run_reduction(CoeffField(s), order=5)
     rows: List[ScalingRow] = []
     for eps, sites, horizon, steps in runs:
-        builder = ProfileBuilder(report, eps, sites)
+        steps = max(1, round(steps))
+        builder = ProfileBuilder(report, eps, math.ceil(sites))
         state = builder.state(h, 0.0)
         norm0 = float(np.sum(np.abs(state.values) ** 2))
         final = integrate(state, horizon / steps, steps, s)

@@ -275,9 +275,12 @@ def test_artifacts_are_byte_identical_across_runs(capsys, tmp_path):
     ["validate", "--s", "0", "--eps", "0.3,0.2,1e-320"],
     ["validate", "--s", "0", "--h", "1e-320"],
     ["validate", "--s", "0", "--T", "1e308", "--dt", "1e-308"],
+    # finite sizes above the site-step budget
+    ["validate", "--s", "0", "--eps", "0.001,0.002,0.003", "--T", "0.1"],
+    ["validate", "--s", "0", "--h", "1e-300"],
 ], ids=["dt-zero", "h-zero", "T-negative", "omega-negative", "omega-zero", "eps-repeated",
         "eps-repeated-once", "p-negative", "window-overflow", "h-window-overflow",
-        "step-overflow"])
+        "step-overflow", "eps-over-budget", "h-over-budget"])
 def test_out_of_domain_input_exits_one_without_artifact(capsys, tmp_path, argv):
     out_path = tmp_path / "artifact"
     assert main([*argv, "--out", str(out_path)]) == 1
@@ -375,15 +378,18 @@ def test_out_of_memory_exits_one_without_artifact(capsys, monkeypatch, tmp_path)
 
 
 def _cap_address_space():
-    # 4 GiB: the 1e-12 spacing below asks numpy for hundreds of TiB at once
+    # 4 GiB: the 3e-7 spacing below asks numpy for 7.5 GiB at once
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     limit = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
 def test_a_window_too_large_to_allocate_prints_only_the_error_line():
-    proc = _fresh_interpreter("-m", "asymint.cli", "validate", "--s", "0", "--h", "1e-12",
-                              "--eps", "0.3,0.2,0.1", preexec_fn=_cap_address_space)
+    # one step per run: 1.83e9 site-steps, under the budget, with a first
+    # window of 1e9 sites
+    proc = _fresh_interpreter("-m", "asymint.cli", "validate", "--s", "0", "--h", "3e-7",
+                              "--eps", "0.1,0.2,0.3", "--T", "1e-9",
+                              preexec_fn=_cap_address_space)
     assert proc.returncode == 1
     assert proc.stdout == ""
     err = proc.stderr.splitlines()

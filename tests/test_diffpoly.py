@@ -101,8 +101,11 @@ def test_frechet_linearization():
 
 def test_rename_to_kdv():
     assert leaf(2).rename_to_kdv() == leaf(1, kind="vphi")
-    with pytest.raises(GradingError):
-        leaf(0).rename_to_kdv()
+    # only derived phi factors have a kdv name: an underived phi, a vphi
+    # (already renamed) and an amplitude field nu are refused
+    for bad in (leaf(0), leaf(1) * leaf(0, kind="vphi"), leaf(1) * leaf(1, kind="nu")):
+        with pytest.raises(GradingError):
+            bad.rename_to_kdv()
 
 
 # --- grading and bases --------------------------------------------------------------

@@ -7,6 +7,7 @@ symbolically by substituting them back into the slow-time flow.
 """
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import pytest
 
 from asymint.diffpoly import DiffPolynomial, FieldSymbol
 from asymint.errors import DomainError, StabilityError
+from asymint import lattice
 from asymint.lattice import (
     LatticeState,
     ProfileBuilder,
@@ -331,6 +333,29 @@ def test_profile_rejects_a_field_it_does_not_carry(engine):
         on_window(DiffPolynomial.leaf(FieldSymbol("phi", 2), 1, rep.field.one))
     with pytest.raises(DomainError, match="order 2"):
         on_window(DiffPolynomial.leaf(FieldSymbol("phi", 1), 2, rep.field.one))
+
+
+class Reduced(Exception):
+    pass
+
+
+# the defaults make 51,187,500 site-steps per 0.1 of T, so T = 3.9 is just
+# under the 2e9 budget and T = 4 just over it
+@pytest.mark.parametrize("h, eps_list, T, size", [
+    (H, [0.2, 0.1, 0.05], 3.9, None),
+    (H, [0.2, 0.1, 0.05], 4.0, "2.05e+09"),
+    (H, [0.001, 0.002, 0.003], 0.1, "3.22e+14"),
+    (1e-300, [0.2, 0.1, 0.05], 0.1, "2.56e+307"),
+    (H, [0.3, 0.2, 1e-320], 0.1, "inf"),
+])
+def test_error_scaling_sizes_its_job_before_any_work(monkeypatch, h, eps_list, T, size):
+    def reduced(*args, **kwargs):
+        raise Reduced
+
+    monkeypatch.setattr(lattice, "run_reduction", reduced)
+    refused = re.escape(f"need {size} lattice site-steps, over the budget of 2e+09")
+    with pytest.raises(DomainError, match=refused) if size else pytest.raises(Reduced):
+        error_scaling(0, h, eps_list, T=T, dt=0.02)
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])

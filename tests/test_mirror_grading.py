@@ -112,3 +112,40 @@ def test_every_scalar_of_the_symbolic_order9_solve_is_even_in_h(commutation, s, 
                for x in poly.terms.values()]
     assert len(scalars) == count
     assert [x.text() for x in scalars if not even_in_h(x)] == []
+
+
+def test_every_pivot_of_the_proposition_is_even_or_odd(monkeypatch, capsys):
+    """Elimination and the canonical form pivot on units only: by the
+    grading every pivot is f or f*c, never a mixed f + g*c, which can be a
+    zero divisor (1 + c when c^2 = 1) and would raise ZeroInverse."""
+    import asymint.compatibility as compatibility
+    from asymint.cli import main
+    from asymint.field import CoeffElement
+
+    active, pivots = [], []
+    inv = CoeffElement.inv
+
+    def recorded(value):
+        if active:
+            pivots.append((active[-1], value))
+        return inv(value)
+
+    def watched(name, solve):
+        def run(*args):
+            active.append(name)
+            try:
+                return solve(*args)
+            finally:
+                active.pop()
+        return run
+
+    monkeypatch.setattr(CoeffElement, "inv", recorded)
+    for name in ("eliminate_unknowns", "rref"):
+        monkeypatch.setattr(compatibility, name, watched(name, getattr(compatibility, name)))
+    code = main(["proposition"])
+    capsys.readouterr()
+    assert [x.text() for _, x in pivots if x.even and x.odd] == []
+    assert code == 0
+    # both branches, the reduction's own order-7 solves included
+    assert [where for where, _ in pivots].count("eliminate_unknowns") == 91
+    assert [where for where, _ in pivots].count("rref") == 34
