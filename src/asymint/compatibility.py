@@ -77,8 +77,6 @@ def strip_content(poly: KnownPoly) -> KnownPoly:
     stray label; the label values are nonvanishing, making the primitive part
     the same condition in canonical form."""
     keys = list(poly.terms)
-    if not keys:
-        return poly
     common: Dict[str, int] = dict(keys[0])
     for key in keys[1:]:
         have = dict(key)

@@ -2,9 +2,9 @@
 
 A monomial is a multiset of factors d^ell X where X is a field symbol:
 phi{j} (potential corrections), vphi{j} (their x-derivative fields), nu{j}
-(amplitude corrections) or tau (the fast phase marker).  Symbols may carry
-pending slow-time derivative tags; a tag multiset (2, 3) on phi1 means
-d_{t_2} d_{t_3} phi1 awaiting an evolution rule.
+(amplitude corrections) or tau (the phase baseline: shift(phi) - phi cancels
+it, so no time derivative meets it).  Symbols may carry pending slow-time tags:
+a tag multiset (2, 3) on phi1 means d_{t_2} d_{t_3} phi1 awaiting a rule.
 
 Coefficients are duck-typed: anything with ring operations, truthiness for
 zero-testing and a text() method works (CoeffElement for the reduction,
@@ -326,14 +326,11 @@ class EvolutionRules:
 def time_derivative(poly: DiffPolynomial, m: int, rules: EvolutionRules) -> DiffPolynomial:
     """d_{t_m} of a differential polynomial via the chain rule.
 
-    Fields without a rule become tagged leaves.  The fast-phase marker tau
-    is a slow-time constant.
+    Fields without a rule become tagged leaves.
     """
     acc: Dict[Monomial, object] = {}
     for mon, coeff in poly.terms.items():
         for i, (sym, ell) in enumerate(mon):
-            if sym.kind == "tau":
-                continue
             rest = mon[:i] + mon[i + 1:]
             rule = rules.get(sym, m)
             if rule is None:

@@ -28,7 +28,8 @@ ScalarLike = Union[int, Fraction, "CoeffElement"]
 
 class RatFunc:
     """Reduced rational function of h over Z: num/den in lowest terms with a
-    positive-leading-coefficient denominator."""
+    positive-leading-coefficient denominator.  The constructor takes den with a
+    positive lead (ONE, an integer, a product of reduced dens): pgcd keeps it."""
 
     __slots__ = ("num", "den")
 
@@ -42,8 +43,6 @@ class RatFunc:
             if g != P.ONE:
                 num = P.pdivexact(num, g)
                 den = P.pdivexact(den, g)
-            if den[-1] < 0:
-                num, den = P.pneg(num), P.pneg(den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -229,8 +228,6 @@ class CoeffElement:
         return bool(self.even.num or self.odd.num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_fraction(Fraction(other))
         return (
             isinstance(other, CoeffElement)
             and self.field == other.field

@@ -65,25 +65,10 @@ class KnownPoly(SparseSum):
     def symbols(self) -> Set[str]:
         return {name for key in self.terms for name, _ in key}
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, CoeffElement)):
-            other = KnownPoly.constant(self.field, other)
-        return (
-            isinstance(other, KnownPoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    # --- ring operations: the scalar operand may stand on either side ----------
+    # --- ring operations: a scalar operand of + or * may stand on either side --
 
     __radd__ = SparseSum.__add__
     __rmul__ = SparseSum.__mul__
-
-    def __rsub__(self, other) -> "KnownPoly":
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     # --- substitution / evaluation ------------------------------------------------
 

@@ -323,6 +323,8 @@ class ProfileBuilder:
 
 # 39x the validate defaults' 51,187,500; ~70 s at 34 ns/site-step (2-vCPU Xeon)
 SITE_STEP_BUDGET = 2e9
+# 1,667x the defaults' 1,200; 208 B/site at peak (tracemalloc: RK4 block, states, profile): 0.42 GB
+MAX_WINDOW_SITES = 2e6
 
 
 class ScalingRow(NamedTuple):
@@ -352,8 +354,8 @@ def error_scaling(
 ) -> ScalingResult:
     """Integrate from the constructed profile over the slow horizon T (so
     T / eps^3 lattice time) and fit the log-log slope of the sup gap to the
-    flow-advanced prediction.  A job above SITE_STEP_BUDGET site-steps is
-    refused before any work."""
+    flow-advanced prediction.  A job above SITE_STEP_BUDGET site-steps or
+    MAX_WINDOW_SITES sites in one window is refused before any work."""
     if len(eps_list) < 3 or len(set(eps_list)) != len(eps_list):
         raise DomainError("need at least three epsilon values, each at most once, for a slope")
     if not all(0 < eps <= 0.3 for eps in eps_list):
@@ -374,6 +376,10 @@ def error_scaling(
     if not total <= SITE_STEP_BUDGET:
         raise DomainError(f"these epsilon, h, T and dt need {total:.3g} lattice site-steps,"
                           f" over the budget of {SITE_STEP_BUDGET:.3g}")
+    widest = max(run[1] for run in runs)
+    if not widest <= MAX_WINDOW_SITES:
+        raise DomainError(f"the smallest epsilon needs a window of {widest:.3g} lattice sites,"
+                          f" over the bound of {MAX_WINDOW_SITES:.3g}")
     import numpy as np
 
     report = run_reduction(CoeffField(s), order=5)

@@ -378,7 +378,8 @@ def test_out_of_memory_exits_one_without_artifact(capsys, monkeypatch, tmp_path)
 
 
 def _cap_address_space():
-    # 4 GiB: the 3e-7 spacing below asks numpy for 7.5 GiB at once
+    # 4 GiB: should the window bound fail, the 3e-7 spacing below would ask
+    # numpy for 7.5 GiB at once
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     limit = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
@@ -386,14 +387,15 @@ def _cap_address_space():
 
 def test_a_window_too_large_to_allocate_prints_only_the_error_line():
     # one step per run: 1.83e9 site-steps, under the budget, with a first
-    # window of 1e9 sites
+    # window of 1e9 sites, over the 2e6 bound, refused before numpy loads
     proc = _fresh_interpreter("-m", "asymint.cli", "validate", "--s", "0", "--h", "3e-7",
                               "--eps", "0.1,0.2,0.3", "--T", "1e-9",
                               preexec_fn=_cap_address_space)
     assert proc.returncode == 1
     assert proc.stdout == ""
     err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("asymint validate: error: Unable to allocate"), err
+    assert err == ["asymint validate: error: the smallest epsilon needs a window of 1e+09"
+                   " lattice sites, over the bound of 2e+06"], err
 
 
 _MODULES_AFTER = """

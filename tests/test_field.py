@@ -80,6 +80,15 @@ def test_c_squared_reduction():
     assert F1.c ** 3 == (F1.one - F1.h ** 2) * F1.c
 
 
+@pytest.mark.parametrize("field", [F0, F1])
+def test_negative_powers_are_powers_of_the_inverse(field):
+    # h + 2c is a unit on both branches: its norm is h^2 - 4c^2, nonzero
+    x = field.h + 2 * field.c
+    assert x ** -1 == x.inv()
+    assert x ** -2 == (x * x).inv()
+    assert x ** -1 * x == field.one
+
+
 def test_parse_rejects_garbage():
     for bad in ["x + 1", "h(", "import os", "h**c", "1/(h - h)", "c.__class__"]:
         with pytest.raises(ValueError):

@@ -54,7 +54,7 @@ def test_scalar_interop():
     assert 2 * a == a + a
     assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
     assert F.c * a == a * F.c
-    assert (1 + a) - a == 1
+    assert (1 + a) - a == KnownPoly.constant(F, 1)
 
 
 def test_split_linear():
@@ -198,4 +198,8 @@ def test_sparse_sums_take_only_their_own_operands():
     assert Fraction(1, 2) * p == p * F.from_fraction(Fraction(1, 2))
     assert F.c + p == p + KnownPoly.constant(F, F.c)
     assert p - 1 == sym("a1") + two
-    assert 1 - p == -(sym("a1") + two)
+    # but a scalar is no left operand of -, and no scalar equals a KnownPoly
+    with pytest.raises(TypeError):
+        1 - p
+    assert p != 1
+    assert KnownPoly.constant(F, 1) != 1

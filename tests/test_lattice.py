@@ -358,6 +358,19 @@ def test_error_scaling_sizes_its_job_before_any_work(monkeypatch, h, eps_list, T
         error_scaling(0, h, eps_list, T=T, dt=0.02)
 
 
+# one step per run: h = 1.6e-4 gives a widest window of 1.875e6 sites at
+# eps = 0.1, under the 2e6 bound, and h = 1.4e-4 one of 2.14e6, over it
+@pytest.mark.parametrize("h, size", [(1.6e-4, None), (1.4e-4, "2.14e+06")])
+def test_error_scaling_bounds_its_widest_window_before_any_work(monkeypatch, h, size):
+    def reduced(*args, **kwargs):
+        raise Reduced
+
+    monkeypatch.setattr(lattice, "run_reduction", reduced)
+    refused = re.escape(f"a window of {size} lattice sites, over the bound of 2e+06")
+    with pytest.raises(DomainError, match=refused) if size else pytest.raises(Reduced):
+        error_scaling(0, h, [0.1, 0.2, 0.3], T=1e-9, dt=0.02)
+
+
 @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
 def test_error_scaling_rejects_out_of_domain_steps(dt):
     """integrate's one caller rejects the step before any work, and always
