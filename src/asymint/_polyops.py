@@ -8,14 +8,14 @@ dependencies, so they are easy to test in isolation.  The root count on
 gcd; no polynomial here has rational coefficients, and `peval` at p/q
 builds one Fraction from the integer Horner `phorner`.
 
-A constant argument `(k,)` takes a fast path in `pgcd`, `pmul` and
-`pdivexact` that returns exactly the tuple the general path returns, and
-`pgcd` answers `ONE` at once when either argument is `ONE`; most gcds of the
-elimination take one of these paths.  The non-constant paths of `pgcd` and
-`pdivexact` are memoized per process on the operand pair (`MEMO_SIZE`
-entries each; a failed division is never cached).  Callers reach `pgcd`
-through the module attribute (`P.pgcd`) at call time, because the benchmark
-counts its calls by patching that attribute; the memos sit below it.
+A constant argument `(k,)` takes a fast path in `pgcd`, `pmul` and `pdivexact`
+that returns exactly the tuple the general path returns, and `pgcd` answers
+`ONE` at once when either argument is `ONE`; most elimination gcds take these;
+a zero `pgcd` or `pmul` operand takes no path of its own.  The non-constant
+paths of `pgcd` and `pdivexact` are memoized per process on the operand pair
+(`MEMO_SIZE` entries each; a failed division is never cached).  Callers reach
+`pgcd` through the module attribute (`P.pgcd`) at call time, because the
+benchmark counts its calls by patching that attribute; the memos sit below it.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ def pscale(a: Poly, k: int) -> Poly:
 
 
 def pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ZERO
     if len(a) == 1:
         return b if a[0] == 1 else pscale(b, a[0])
     if len(b) == 1:
@@ -160,10 +158,6 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     """Full gcd in Z[h] (content included), positive leading coefficient."""
     if a == ONE or b == ONE:
         return ONE
-    if not a:
-        return _poslead(b)
-    if not b:
-        return _poslead(a)
     if len(a) == 1 or len(b) == 1:
         return (math.gcd(*a, *b),)
     return _pgcdprs(a, b)
@@ -234,15 +228,10 @@ def count_roots_open_unit_interval(a: Poly) -> int:
 
 
 def sign_on_open_unit_interval(a: Poly) -> int:
-    """Exact constant sign of a on (0, 1): +1, -1, or 0 when the sign is not
-    constant (or a vanishes identically)."""
+    """Exact constant sign of a on (0, 1): +1, -1, or 0 when a has a root there
+    (or vanishes identically); with no root there, a(1/2) is nonzero."""
     if not a:
         return 0
     if count_roots_open_unit_interval(a) > 0:
         return 0
-    mid = peval(a, Fraction(1, 2))
-    if mid > 0:
-        return 1
-    if mid < 0:
-        return -1
-    return 0
+    return 1 if peval(a, Fraction(1, 2)) > 0 else -1

@@ -29,7 +29,7 @@ from .compatibility import build_problem, solve_compatibility
 from .diffpoly import enumerate_basis, monomial_text
 from .errors import AsymintError, DomainError
 from .field import CoeffField
-from .jordan import jordan_coefficients, sample_window, verify_on_sequence
+from .jordan import VERIFY_BUDGET, jordan_coefficients, sample_window, verify_on_sequence
 from .lattice import error_scaling
 from .reduction import run_reduction
 
@@ -173,6 +173,9 @@ def _cmd_jordan(args) -> Tuple[str, int]:
         q = args.omega.denominator
         step = Fraction(1, q)
         _, _, span = sample_window(exp, step)
+        if (size := (span + 4) * (degree + 32) ** 2) > VERIFY_BUDGET:
+            raise DomainError(f"--verify poly:{degree} needs {size:,} sample terms,"
+                              f" over the budget of {VERIFY_BUDGET:,}")
         # q^degree times sum_m (m+1) (k/q)^m, in integers; the gap is linear in the samples
         samples = [sum((m + 1) * k**m * q ** (degree - m) for m in range(degree + 1))
                    for k in range(span + 4)]

@@ -113,7 +113,7 @@ def eliminate_unknowns(
             if pick:
                 break
         if pick is None:
-            break
+            raise InconsistentSystemError(f"ansatz labels {sorted(remaining)} admit no constant pivot")
         idx, name, inv, linear, rest = pick
         acc = rest
         for other, coeff in linear.items():
@@ -126,10 +126,6 @@ def eliminate_unknowns(
         solved = {k: v.substitute(mapping) for k, v in solved.items()}
         solved[name] = expr
         remaining.discard(name)
-    if remaining:
-        raise InconsistentSystemError(
-            f"ansatz labels {sorted(remaining)} admit no constant pivot"
-        )
     stray = [e for e in eqs if any(n in e.symbols() for n in names)]
     if stray:
         raise InconsistentSystemError("ansatz labels survive their elimination")

@@ -246,9 +246,8 @@ class DiffPolynomial(SparseSum):
                 )
         acc: Dict[Monomial, object] = {}
         for k, bucket in sorted(buckets.items()):
-            if bucket:
-                for m, coeff in (DiffPolynomial(bucket) * direction.d_x(k)).terms.items():
-                    accumulate(acc, m, coeff)
+            for m, coeff in (DiffPolynomial(bucket) * direction.d_x(k)).terms.items():
+                accumulate(acc, m, coeff)
         return DiffPolynomial(acc)
 
     def rename_to_kdv(self) -> "DiffPolynomial":
@@ -386,16 +385,13 @@ def substitute_field(
     becomes a tagged leaf."""
     acc: Dict[Monomial, object] = {}
     for mon, coeff in poly.terms.items():
-        pieces = [DiffPolynomial({(): coeff})]
+        term = DiffPolynomial({(): coeff})
         plain: List[Factor] = []
         for sym, ell in mon:
             if sym.kind == kind and sym.index == index:
-                pieces.append(_through_tags(value, sym.times, ell, rules))
+                term = term * _through_tags(value, sym.times, ell, rules)
             else:
                 plain.append((sym, ell))
-        term = pieces[0]
-        for p in pieces[1:]:
-            term = term * p
         for m, c in term.mul_monomial(tuple(plain)).terms.items():
             accumulate(acc, m, c)
     return DiffPolynomial(acc)
@@ -413,7 +409,7 @@ def enumerate_basis(weight: int, grading: str, max_index: int) -> Tuple[Monomial
         raise ValueError(f"unknown grading {grading!r}")
     kind, ell_min = ("phi", 1) if grading == "potential" else ("vphi", 0)
     factors: List[Tuple[Factor, int]] = []
-    for j in range(1, max_index + 1):
+    for j in range(1, min(max_index, weight // 2) + 1):
         for ell in range(ell_min, weight + 1):
             w = ell + 2 * j - ell_min
             if w <= weight:

@@ -203,6 +203,17 @@ def test_a_zero_divisor_pivot_is_an_error():
         rref([zero_divisor * a1, a1 + x2])
 
 
+def test_a_label_without_a_constant_pivot_is_an_error():
+    # elimination never divides by a label, so q1 (coefficient a1) has no pivot;
+    # q1 is solved first in the second system, and only q2 is named
+    f = CoeffField(1)
+    a1, q1, q2 = syms(f, "a1", "q1", "q2")
+    with pytest.raises(InconsistentSystemError, match=r"^ansatz labels \['q1'\] admit no constant pivot$"):
+        eliminate_unknowns([a1 * q1 + 1], ["q1"])
+    with pytest.raises(InconsistentSystemError, match=r"^ansatz labels \['q2'\] admit no constant pivot$"):
+        eliminate_unknowns([q1 + a1, a1 * q2 + q1], ["q1", "q2"])
+
+
 S0 = CoeffField(0)
 UNKNOWNS = ["x1", "x2"]
 PARITY = {"x1": 0, "x2": 1, "a1": 1, "a2": 0}

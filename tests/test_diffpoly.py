@@ -174,6 +174,13 @@ def test_bases_match_a_brute_force_filter_by_the_oracle_weight(grading):
                 brute_force_basis(weight, grading, max_index), (weight, max_index)
 
 
+@pytest.mark.parametrize("grading", ["potential", "kdv"])
+def test_bases_skip_field_indices_too_heavy_to_fit(grading):
+    # a factor of index j weighs at least 2j, so weight 4 admits j <= 2 only;
+    # looping j up to 10^9 took minutes
+    assert enumerate_basis(4, grading, 10**9) == enumerate_basis(4, grading, 2)
+
+
 @pytest.mark.parametrize("max_index", [0, 2])
 def test_unknown_grading_is_rejected(max_index):
     with pytest.raises(ValueError):

@@ -18,11 +18,14 @@ implementation that the integer kernels replaced.
 """
 
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import asymint.cli
+import asymint.jordan
 from asymint.cli import main
 from asymint.errors import DomainError, InsufficientSamples
 from asymint.jordan import jordan_coefficients, verify_on_sequence
@@ -246,3 +249,55 @@ def test_gap_is_a_fraction_and_float_samples_are_cleared_exactly():
     gap = verify_on_sequence(exp, samples, step=Fraction(1, 2))
     assert type(gap) is Fraction
     assert gap == verify_by_fractions(exp, samples, step=Fraction(1, 2))
+
+
+# each job is far over its budget and runs for minutes without the check
+@pytest.mark.parametrize("argv, size", [
+    ("--j 2 --omega 3 --max-i 5000", "needs 50,020,002 convolution steps, over the budget of 500,000"),
+    # p < j leaves no coefficient, but the convolution still runs j times
+    ("--j 1000000000 --omega 3 --max-i 1000000000 --p 0",
+     "needs 1,000,000,000 convolution steps, over the budget of 500,000"),
+    # a window of 2e12 samples
+    ("--j 2 --omega 1000000000000 --max-i 3 --verify poly:1",
+     "needs 2,178,000,000,004,356 sample terms, over the budget of 200,000,000"),
+    ("--j 2 --omega 3 --max-i 6 --verify poly:999999",
+     "needs 10,000,620,009,610 sample terms, over the budget of 200,000,000"),
+])
+def test_jordan_refuses_a_job_over_its_budget_before_any_work(capsys, argv, size):
+    start = time.monotonic()
+    assert main(["jordan", *argv.split()]) == 1
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("asymint jordan: error: ") and err[0].endswith(size)
+
+
+class Expanded(Exception):
+    pass
+
+
+# 2 * 500^2 is the budget exactly; 2 * 501^2 is over it
+@pytest.mark.parametrize("max_i, refused", [(499, False), (500, True)])
+def test_expansion_budget_checks_before_the_convolution(monkeypatch, max_i, refused):
+    def comb(*args):
+        raise Expanded
+
+    monkeypatch.setattr(asymint.jordan, "comb", comb)
+    with pytest.raises(DomainError, match="over the budget") if refused else pytest.raises(Expanded):
+        jordan_coefficients(2, 3, max_i)
+
+
+# span 6: 10 * (4440 + 32)^2 = 199,987,840 is under the budget, D = 4441 over it
+@pytest.mark.parametrize("degree, refused", [(4440, False), (4441, True)])
+def test_verify_budget_checks_before_the_samples(monkeypatch, capsys, degree, refused):
+    def verify(exp, samples, step):
+        assert len(samples) == 10
+        raise Expanded
+
+    monkeypatch.setattr(asymint.cli, "verify_on_sequence", verify)
+    argv = ["jordan", "--j", "2", "--omega", "3", "--max-i", "6", "--verify", f"poly:{degree}"]
+    if refused:
+        assert main(argv) == 1
+        assert "200,077,290 sample terms" in capsys.readouterr().err
+    else:
+        with pytest.raises(Expanded):
+            main(argv)
