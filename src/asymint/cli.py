@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from . import __version__
 from .compatibility import build_problem, solve_compatibility
-from .diffpoly import enumerate_basis, monomial_text
+from .diffpoly import BASIS_BUDGET, BASIS_WEIGHT_BOUND, basis_size, enumerate_basis, monomial_text
 from .errors import AsymintError, DomainError
 from .field import CoeffField
 from .jordan import VERIFY_BUDGET, jordan_coefficients, sample_window, verify_on_sequence
@@ -87,6 +87,12 @@ def _cmd_dims(args) -> Tuple[str, int]:
         raise DomainError(f"--degree must be non-negative, got {args.degree}")
     if args.max_field < 1:
         raise DomainError(f"--max-field must be at least 1, got {args.max_field}")
+    if args.degree >= BASIS_WEIGHT_BOUND:
+        raise DomainError(f"--degree {args.degree} spans at least {basis_size(BASIS_WEIGHT_BOUND, 1):,}"
+                          f" monomials at any --max-field, over the budget of {BASIS_BUDGET:,}")
+    if (size := basis_size(args.degree, args.max_field)) > BASIS_BUDGET:
+        raise DomainError(f"--degree {args.degree} --max-field {args.max_field} spans {size:,}"
+                          f" monomials, over the budget of {BASIS_BUDGET:,}")
     space = enumerate_basis(args.degree, args.grading, args.max_field)
     lines = [str(len(space))] + [monomial_text(m) for m in space]
     return "\n".join(lines) + "\n", 0

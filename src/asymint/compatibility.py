@@ -126,9 +126,6 @@ def eliminate_unknowns(
         solved = {k: v.substitute(mapping) for k, v in solved.items()}
         solved[name] = expr
         remaining.discard(name)
-    stray = [e for e in eqs if any(n in e.symbols() for n in names)]
-    if stray:
-        raise InconsistentSystemError("ansatz labels survive their elimination")
     return solved, eqs
 
 

@@ -10,7 +10,7 @@ ring operations, truthiness, text().
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .diffpoly import SparseSum, accumulate
 from .errors import InconsistentSystemError
@@ -59,11 +59,6 @@ class KnownPoly(SparseSum):
         if isinstance(other, (int, Fraction, CoeffElement)):
             return KnownPoly.constant(self.field, other)
         return None
-
-    # --- predicates -----------------------------------------------------------
-
-    def symbols(self) -> Set[str]:
-        return {name for key in self.terms for name, _ in key}
 
     # --- ring operations: a scalar operand of + or * may stand on either side --
 

@@ -305,8 +305,11 @@ class ProfileBuilder:
         t2 = eps**3 * t
         peak = v_hat * t2
         y = np.mod(x - peak + 0.5 * length, length) - 0.5 * length
-        S = 1.0 / np.cosh(B * y) ** 2
-        T = np.tanh(B * y)
+        # transcendentals from math, site by site: numpy's cosh, tanh and complex
+        # exp round differently at each SIMD dispatch level; its sqrt is correctly rounded
+        z = (B * y).tolist()
+        S = 1.0 / np.array([math.cosh(v) for v in z]) ** 2
+        T = np.array([math.tanh(v) for v in z])
         phi1 = u_inf * y + (A / B) * T
         global_phase = u_inf * peak + drift * t2
         phi = -t + eps * (phi1 + global_phase)
@@ -314,7 +317,7 @@ class ProfileBuilder:
         nu = 1.0 + eps**2 * _on_jets(rep.amplitude(1), jets, lambda coeff: coeff.eval_float(h), 0.0)
         if np.any(nu <= 0):
             raise DomainError("amplitude correction drove the field density nonpositive")
-        values = np.sqrt(nu) * np.exp(1j * phi)
+        values = np.sqrt(nu) * np.array([complex(math.cos(p), math.sin(p)) for p in phi.tolist()])
         return LatticeState(values, h, t)
 
 

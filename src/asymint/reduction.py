@@ -327,8 +327,6 @@ class ReductionReport:
         for sym in poly.tagged_unknowns():
             lam, known = _split_bare(known, sym, 1, f"eps^{k}")
             lams[sym] = lam
-        if known.tagged_unknowns():
-            raise InconsistentSystemError(f"eps^{k}: nested unknown evolutions remain")
         if known.contains_kind("nu"):
             raise InconsistentSystemError(f"eps^{k}: unsolved amplitudes remain")
         top = (k - 3) // 2

@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,44 @@ def test_dims_prints_dimension_then_basis(capsys):
     assert lines[0] == "3"
     assert len(lines) == 4
     assert "D[1]{phi1}*D[1]{phi1}*D[1]{phi1}" in lines
+
+
+# each job runs for seconds to forever without the check: 25,602,571
+# monomials at --degree 60 --max-field 3, and a counting pass of 186 s at
+# --degree 3000
+@pytest.mark.parametrize("argv, size", [
+    ("--degree 60 --max-field 3", "--degree 60 spans at least 101,065 monomials at any --max-field"),
+    ("--degree 3000 --max-field 1000", "--degree 3000 spans at least 101,065 monomials"),
+    ("--degree 58", "--degree 58 spans at least 101,065 monomials"),
+    ("--degree 34 --max-field 6 --grading kdv", "--degree 34 --max-field 6 spans 105,392 monomials"),
+])
+def test_dims_refuses_a_basis_over_its_budget_before_any_work(capsys, monkeypatch, argv, size):
+    import asymint.cli as cli
+
+    def boom(*args):
+        raise AssertionError("enumerated a basis over the budget")
+
+    monkeypatch.setattr(cli, "enumerate_basis", boom)
+    start = time.monotonic()
+    assert main(["dims", *argv.split()]) == 1
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"asymint dims: error: {size}"), err
+    assert err[0].endswith(", over the budget of 100,000")
+
+
+# the largest bases under the budget at --max-field 5 and 1 (96,695 and
+# 87,330 monomials), and an index bound far past what the degree admits
+@pytest.mark.parametrize("degree, max_field", [(34, 5), (57, 1), (4, 100_000_000)])
+def test_dims_enumerates_a_basis_under_its_budget(capsys, monkeypatch, degree, max_field):
+    import asymint.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_basis", lambda *args: calls.append(args) or ())
+    start = time.monotonic()
+    assert run(capsys, "dims", "--degree", str(degree), "--max-field", str(max_field)) == (0, "0\n")
+    assert time.monotonic() - start < 1
+    assert calls == [(degree, "potential", max_field)]
 
 
 def test_reduce_reports_canonical_text_and_numeric_values(capsys):
@@ -119,10 +158,12 @@ def test_validate_writes_csv_with_slope_on_last_row(capsys, tmp_path):
 
 # sha256 of `asymint validate --s S` at the command's defaults: the CSV
 # prints 13 significant digits, so a reordered float operation of the RK4
-# step shows here where the tolerance checks of the lattice tests let it by
+# step shows here where the tolerance checks of the lattice tests let it by.
+# The bytes hold where numpy dispatches to AVX-512 or AVX2 kernels; at the
+# SSE baseline the step's conj(f) * f rounds differently
 VALIDATE_SHA256 = {
-    0: "8622c5201ca66d03b7b01eedb582d6830167b97e997c9fac5969106f5d3bab85",
-    1: "e1169592a8294bf5f3edecb35f52c46a1f3824ec0f659f39818b08a7ed4ab843",
+    0: "291cf9463085d71e3e8ba1ec88758939f7bb4626dbe8be1acc57a96f950d93c3",
+    1: "6b60ceb1f95f74061286441b4ec41a51cec8090c2cb1f112ee9849bd8bba65e0",
 }
 
 
@@ -141,6 +182,37 @@ def test_validate_csv_bytes_at_the_defaults(capsys, monkeypatch, scaling, s):
     assert code == 0
     assert calls == [((s, 0.5, (0.2, 0.1, 0.05)), {"T": 0.1, "dt": 0.02})]
     assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_SHA256[s]
+
+
+_PROFILE_DIGEST = """
+import hashlib
+from asymint.field import CoeffField
+from asymint.lattice import ProfileBuilder
+from asymint.reduction import run_reduction
+digest = hashlib.sha256()
+for s in (0, 1):
+    report = run_reduction(CoeffField(s), order=5)
+    for eps, n in ((0.2, 300), (0.05, 1200)):
+        for t in (0.0, 123.4):
+            digest.update(ProfileBuilder(report, eps, n).state(0.5, t).values.tobytes())
+print(digest.hexdigest())
+"""
+
+# numpy's feature groups above AVX2, then those above the SSE baseline;
+# numpy ignores a name the host lacks, so every host runs all three levels
+AVX512 = "AVX512_SPR AVX512_ICL AVX512_SKX AVX512_CLX AVX512_CNL X86_V4"
+AVX2 = "X86_V3 AVX2 FMA3 AVX F16C"
+
+
+def test_the_profile_bytes_do_not_depend_on_the_simd_dispatch():
+    # the full CSV needs the default horizon to show a level's rounding, so
+    # this hashes the initial and the predicted profiles of both branches
+    digests = set()
+    for disabled in ("", AVX512, f"{AVX512} {AVX2}"):
+        proc = _fresh_interpreter("-c", _PROFILE_DIGEST, disabled_cpu_features=disabled)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1, digests
 
 
 # one cheap argv per command; dims has no --out
@@ -341,11 +413,16 @@ def test_bad_arguments_exit_one_before_any_work(capsys, monkeypatch, argv, messa
     assert captured.err.splitlines() == [f"asymint {argv[0]}: error: {message}"]
 
 
-def _fresh_interpreter(*args: str, **kwargs) -> subprocess.CompletedProcess:
+def _fresh_interpreter(*args: str, disabled_cpu_features: str = "",
+                       **kwargs) -> subprocess.CompletedProcess:
     """Run `python -B <args>` on this checkout's sources, with the interpreter's
-    default warning filters; keyword arguments go to subprocess.run."""
+    default warning filters and numpy dispatching to every CPU feature but
+    `disabled_cpu_features`; other keyword arguments go to subprocess.run."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONWARNINGS", "NPY_DISABLE_CPU_FEATURES")}
+    if disabled_cpu_features:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled_cpu_features
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-B", *args],
                           capture_output=True, text=True, env=env, timeout=120, **kwargs)

@@ -44,6 +44,11 @@ def syms(field, *names):
     return [KnownPoly.symbol(field, n) for n in names]
 
 
+def labels_in(polys):
+    """Every label name that the polynomials hold."""
+    return {name for poly in polys for key in poly.terms for name, _ in key}
+
+
 def seventh_order_solution(field, alpha1, alpha2, beta3):
     a1, a2, a3 = syms(field, "a1", "a2", "a3")
     i1 = alpha1.inv()
@@ -116,6 +121,7 @@ def test_seventh_order_is_unobstructed(engine, commutation):
         assert set(out.solved_coefficients) == set(want)
         for name, expr in want.items():
             assert not (out.solved_coefficients[name] - expr), (s, name)
+        assert not labels_in(out.solved_coefficients.values()) & set(want)
 
 
 def test_ninth_order_constraints_second_branch(engine, commutation):
@@ -152,6 +158,10 @@ def test_every_commutator_equation_is_accounted_for(engine, commutation):
     for s in (0, 1):
         problem = build_problem(engine(s, 9), 9)
         out = commutation(s, 9)
+        # elimination substitutes every solved label out of every row and value
+        ansatz = set(problem.ansatz_basis.labels)
+        assert set(out.solved_coefficients) == ansatz
+        assert not labels_in([*out.solved_coefficients.values(), *out.residual_constraints]) & ansatz
         pivots = {}
         for con in out.residual_constraints:
             name = min(con.terms, key=_column_key)[0][0]
@@ -253,6 +263,7 @@ def test_elimination_in_the_zero_divisor_ring(equations):
     except InconsistentSystemError:
         return
     assert set(solved) == set(UNKNOWNS)
+    assert not labels_in([*solved.values(), *leftovers]) & set(UNKNOWNS)
     for eq in equations:
         left = eq.substitute(solved)
         assert not left or left in leftovers

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asymint.diffpoly import (
+    BASIS_BUDGET,
+    BASIS_WEIGHT_BOUND,
     DiffPolynomial,
     EvolutionRules,
     FieldSymbol,
+    basis_size,
     enumerate_basis,
     mono,
     substitute_field,
@@ -179,6 +182,20 @@ def test_bases_skip_field_indices_too_heavy_to_fit(grading):
     # a factor of index j weighs at least 2j, so weight 4 admits j <= 2 only;
     # looping j up to 10^9 took minutes
     assert enumerate_basis(4, grading, 10**9) == enumerate_basis(4, grading, 2)
+
+
+@pytest.mark.parametrize("grading", ["potential", "kdv"])
+def test_basis_size_counts_the_enumerated_basis(grading):
+    for max_index in (1, 2, 3, 5):
+        for weight in range(25):
+            assert basis_size(weight, max_index) == len(enumerate_basis(weight, grading, max_index))
+
+
+def test_the_weight_bound_is_where_the_smallest_basis_outgrows_the_budget():
+    # max_index 1 gives the smallest basis of a weight, so every weight from
+    # the bound on is over the budget at any max_index
+    assert basis_size(BASIS_WEIGHT_BOUND - 1, 1) <= BASIS_BUDGET < basis_size(BASIS_WEIGHT_BOUND, 1)
+    assert basis_size(60, 3) == 25_602_571
 
 
 @pytest.mark.parametrize("max_index", [0, 2])

@@ -261,6 +261,22 @@ def test_phase_residual_needs_the_expected_unknowns_with_one_coefficient():
     assert run.phase_residual(5, {phi1_t2, phi2_t2}) == (two, known)
 
 
+@pytest.mark.parametrize("s", [0, 1])
+def test_phase_residual_leaves_no_unknown_evolution_in_the_known_part(monkeypatch, s):
+    # _split_bare drops every occurrence of each tagged symbol it splits off
+    orders, split = [], ReductionReport.phase_residual
+
+    def checked(self, k, expect):
+        lam, known = split(self, k, expect)
+        assert not known.tagged_unknowns(), (k, known.tagged_unknowns())
+        orders.append(k)
+        return lam, known
+
+    monkeypatch.setattr(ReductionReport, "phase_residual", checked)
+    run_reduction(CoeffField(s), order=9)
+    assert orders == [5, 7, 9]
+
+
 def test_pinned_h_field_runs_the_same_pipeline():
     rep = run_reduction(CoeffField(1, h_value=Fraction(1, 3)), order=7)
     general = CoeffField(1)
