@@ -121,3 +121,18 @@ def verify_on_sequence(
     worst = max(abs(sum(w * ints[base + off] for off, w in enumerate(stencil) if w))
                 for base in range(len(ints) - span))
     return Fraction(worst, weight * scale)
+
+
+def verify_polynomial(exp: JordanExpansion, degree: int) -> Tuple[Fraction, Fraction]:
+    """The grid spacing 1/q (q the denominator of omega) and the gap there on
+    sum_{m <= degree} (m+1) x^m; refused over VERIFY_BUDGET sample terms first."""
+    q = exp.omega.denominator
+    step = Fraction(1, q)
+    _, _, span = sample_window(exp, step)
+    if (size := (span + 4) * (degree + 32) ** 2) > VERIFY_BUDGET:
+        raise DomainError(f"a degree-{degree} polynomial needs {size:,} sample terms,"
+                          f" over the budget of {VERIFY_BUDGET:,}")
+    # q^degree times the samples, in integers; the gap is linear in the samples
+    samples = [sum((m + 1) * k**m * q ** (degree - m) for m in range(degree + 1))
+               for k in range(span + 4)]
+    return step, verify_on_sequence(exp, samples, step=step) / q**degree

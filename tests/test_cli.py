@@ -34,20 +34,20 @@ def test_dims_prints_dimension_then_basis(capsys):
 
 # each job runs for seconds to forever without the check: 25,602,571
 # monomials at --degree 60 --max-field 3, and a counting pass of 186 s at
-# --degree 3000
+# --degree 3000; enumerate_basis sizes the basis before it builds a factor
 @pytest.mark.parametrize("argv, size", [
-    ("--degree 60 --max-field 3", "--degree 60 spans at least 101,065 monomials at any --max-field"),
-    ("--degree 3000 --max-field 1000", "--degree 3000 spans at least 101,065 monomials"),
-    ("--degree 58", "--degree 58 spans at least 101,065 monomials"),
-    ("--degree 34 --max-field 6 --grading kdv", "--degree 34 --max-field 6 spans 105,392 monomials"),
+    ("--degree 60 --max-field 3", "P_60^(r) spans at least 101,065 monomials at any r"),
+    ("--degree 3000 --max-field 1000", "P_3000^(r) spans at least 101,065 monomials"),
+    ("--degree 58", "P_58^(r) spans at least 101,065 monomials"),
+    ("--degree 34 --max-field 6 --grading kdv", "P_34^(6) spans 105,392 monomials"),
 ])
 def test_dims_refuses_a_basis_over_its_budget_before_any_work(capsys, monkeypatch, argv, size):
-    import asymint.cli as cli
+    import asymint.diffpoly
 
     def boom(*args):
-        raise AssertionError("enumerated a basis over the budget")
+        raise AssertionError("built a factor of a basis over the budget")
 
-    monkeypatch.setattr(cli, "enumerate_basis", boom)
+    monkeypatch.setattr(asymint.diffpoly, "FieldSymbol", boom)
     start = time.monotonic()
     assert main(["dims", *argv.split()]) == 1
     assert time.monotonic() - start < 1
@@ -56,16 +56,27 @@ def test_dims_refuses_a_basis_over_its_budget_before_any_work(capsys, monkeypatc
     assert err[0].endswith(", over the budget of 100,000")
 
 
-# the largest bases under the budget at --max-field 5 and 1 (96,695 and
-# 87,330 monomials), and an index bound far past what the degree admits
-@pytest.mark.parametrize("degree, max_field", [(34, 5), (57, 1), (4, 100_000_000)])
-def test_dims_enumerates_a_basis_under_its_budget(capsys, monkeypatch, degree, max_field):
-    import asymint.cli as cli
+class Enumerating(Exception):
+    pass
 
-    calls = []
-    monkeypatch.setattr(cli, "enumerate_basis", lambda *args: calls.append(args) or ())
+
+# the largest bases under the budget at --max-field 5 and 1 (96,695 and
+# 87,330 monomials), and an index bound far past what the degree admits:
+# each passes the library's budget check at once and starts on its factors
+@pytest.mark.parametrize("degree, max_field", [(34, 5), (57, 1), (4, 100_000_000)])
+def test_dims_enumerates_a_basis_under_its_budget(monkeypatch, degree, max_field):
+    import asymint.cli as cli
+    import asymint.diffpoly
+
+    def factor(*args):
+        raise Enumerating
+
+    calls, enumerate_basis = [], cli.enumerate_basis
+    monkeypatch.setattr(cli, "enumerate_basis", lambda *args: calls.append(args) or enumerate_basis(*args))
+    monkeypatch.setattr(asymint.diffpoly, "FieldSymbol", factor)
     start = time.monotonic()
-    assert run(capsys, "dims", "--degree", str(degree), "--max-field", str(max_field)) == (0, "0\n")
+    with pytest.raises(Enumerating):
+        main(["dims", "--degree", str(degree), "--max-field", str(max_field)])
     assert time.monotonic() - start < 1
     assert calls == [(degree, "potential", max_field)]
 
@@ -391,10 +402,10 @@ def test_unwritable_output_exits_one_without_artifact(
     (["reduce", "--s", "0", "--order", "9", "--h", "2"], "h must lie in (0, 1), got 2"),
     (["reduce", "--s", "0", "--order", "9", "--h", "0"], "h must lie in (0, 1), got 0"),
     (["jordan", "--j", "2", "--omega", "3", "--max-i", "6", "--verify", "exp:3"],
-     "--verify expects poly:D"),
+     "argument --verify: invalid poly:D value: 'exp:3'"),
     # str.isdigit accepts a superscript two, which int() then rejects
     (["jordan", "--j", "2", "--omega", "3", "--max-i", "6", "--verify", "poly:\u00b2"],
-     "--verify expects poly:D"),
+     "argument --verify: invalid poly:D value: 'poly:\u00b2'"),
     (["dims", "--degree", "-1"], "--degree must be non-negative, got -1"),
     (["dims", "--degree", "4", "--max-field", "0"], "--max-field must be at least 1, got 0"),
 ], ids=["h-two", "h-zero", "verify-exp", "verify-superscript", "degree-negative",

@@ -1,10 +1,12 @@
 """Differential polynomial algebra: calculus, grading, slow-time structure."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import asymint.diffpoly
 from asymint.diffpoly import (
     BASIS_BUDGET,
     BASIS_WEIGHT_BOUND,
@@ -18,7 +20,7 @@ from asymint.diffpoly import (
     substitute_slow_times,
     time_derivative,
 )
-from asymint.errors import GradingError, NonLocalError
+from asymint.errors import DomainError, GradingError, NonLocalError
 from asymint.field import CoeffField
 
 from oracles import monomial_weight
@@ -196,6 +198,33 @@ def test_the_weight_bound_is_where_the_smallest_basis_outgrows_the_budget():
     # the bound on is over the budget at any max_index
     assert basis_size(BASIS_WEIGHT_BOUND - 1, 1) <= BASIS_BUDGET < basis_size(BASIS_WEIGHT_BOUND, 1)
     assert basis_size(60, 3) == 25_602_571
+
+
+class Building(Exception):
+    pass
+
+
+# both sides of each budget: the weight bound at max_index 1 (87,330 and
+# 101,065 monomials) and the count at weight 34 (96,695 and 105,392), and a
+# weight whose count alone takes minutes; FieldSymbol is the sentinel, and
+# its first call builds the first factor
+@pytest.mark.parametrize("weight, max_index, size", [
+    (57, 1, None),
+    (58, 1, "P_58^(r) spans at least 101,065 monomials at any r"),
+    (3000, 1000, "P_3000^(r) spans at least 101,065 monomials at any r"),
+    (34, 5, None),
+    (34, 6, "P_34^(6) spans 105,392 monomials"),
+])
+def test_enumerate_basis_refuses_a_basis_over_its_budget_before_any_factor(
+    monkeypatch, weight, max_index, size
+):
+    def factor(*args):
+        raise Building
+
+    monkeypatch.setattr(asymint.diffpoly, "FieldSymbol", factor)
+    expected = f"^{re.escape(str(size))}, over the budget of 100,000$"
+    with pytest.raises(DomainError, match=expected) if size else pytest.raises(Building):
+        enumerate_basis(weight, "kdv", max_index)
 
 
 @pytest.mark.parametrize("max_index", [0, 2])

@@ -24,11 +24,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import asymint.cli
 import asymint.jordan
 from asymint.cli import main
 from asymint.errors import DomainError, InsufficientSamples
-from asymint.jordan import jordan_coefficients, verify_on_sequence
+from asymint.jordan import jordan_coefficients, verify_on_sequence, verify_polynomial
 
 from oracles import stirling_coefficients, stirling_first, stirling_second, verify_by_fractions
 
@@ -293,7 +292,7 @@ def test_verify_budget_checks_before_the_samples(monkeypatch, capsys, degree, re
         assert len(samples) == 10
         raise Expanded
 
-    monkeypatch.setattr(asymint.cli, "verify_on_sequence", verify)
+    monkeypatch.setattr(asymint.jordan, "verify_on_sequence", verify)
     argv = ["jordan", "--j", "2", "--omega", "3", "--max-i", "6", "--verify", f"poly:{degree}"]
     if refused:
         assert main(argv) == 1
@@ -301,3 +300,28 @@ def test_verify_budget_checks_before_the_samples(monkeypatch, capsys, degree, re
     else:
         with pytest.raises(Expanded):
             main(argv)
+
+
+class Sampling(Exception):
+    pass
+
+
+# the --verify jobs above, at the library: range, read from the module, is
+# the sentinel, and its first call in verify_polynomial builds the samples
+@pytest.mark.parametrize("omega, max_i, degree, size", [
+    (3, 6, 4440, None),
+    (3, 6, 4441, "200,077,290"),
+    (10**12, 3, 1, "2,178,000,000,004,356"),
+    (3, 6, 999_999, "10,000,620,009,610"),
+])
+def test_verify_polynomial_refuses_a_check_over_its_budget_before_any_sample(
+    monkeypatch, omega, max_i, degree, size
+):
+    def sample_range(*args):
+        raise Sampling
+
+    exp = jordan_coefficients(2, omega, max_i)
+    monkeypatch.setattr(asymint.jordan, "range", sample_range, raising=False)
+    expected = f"needs {size} sample terms, over the budget of 200,000,000$"
+    with pytest.raises(DomainError, match=expected) if size else pytest.raises(Sampling):
+        verify_polynomial(exp, degree)

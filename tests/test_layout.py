@@ -8,7 +8,10 @@ the allow-list holds hooks that a library calls by name.  No module reads
 the environment: every choice a command makes is one of its options.  No
 module imports a name that it never reads.  No parameter keeps a default
 that no call in the package overrides, and none defaults to True or False:
-a mode switch is two code paths behind one name.
+a mode switch is two code paths behind one name.  A job's budget or bound
+(a module-level name ending in `_BUDGET` or `_BOUND`) is read only in the
+module that defines it: the function that does a job sizes it and refuses
+it before any work, and the command line only converts, calls and prints.
 """
 
 import ast
@@ -188,3 +191,19 @@ def boolean_defaults():
 
 def test_no_parameter_defaults_to_a_boolean():
     assert boolean_defaults() == []
+
+
+def budgets_read_elsewhere():
+    """file:name of every read of a module-level `*_BUDGET` or `*_BOUND` name
+    outside the module that defines it."""
+    trees = _trees()
+    owners = {target.id: file for file, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              if isinstance(target, ast.Name) and target.id.endswith(("_BUDGET", "_BOUND"))}
+    return sorted({f"{file}:{name}" for file, tree in trees.items()
+                   for name, _ in _references(tree) if owners.get(name, file) != file})
+
+
+def test_every_budget_is_read_only_where_it_is_defined():
+    assert budgets_read_elsewhere() == []
